@@ -1,11 +1,15 @@
 """Search for vertex-disjoint interlinked-cycle subgraphs of a host digraph.
 
 A spanning k-path template on a vertex subset saves k - 1 broadcast
-symbols, so exact mode scores every strongly connected subset by the
-largest k any spanning embedding realizes, then picks a disjoint family
-maximizing total savings by dynamic programming over bitmasks.  Greedy
-mode packs shortest cycles first (each a k = 2 piece) and then tries to
-merge pieces pairwise into higher-k templates.
+symbols, so exact mode picks a disjoint family of embeddings maximizing
+total savings by dynamic programming over bitmasks.  No index code on a
+subset S is shorter than mais(S), the order of its largest acyclic
+induced subgraph, so a piece on S saves at most |S| - mais(S).  Subsets
+are visited in ascending mask order, which settles the best partition b
+of S into smaller pieces first; S is searched for an embedding only when
+|S| - mais(S) > b, and then only for k in b + 2 .. |S| - mais(S) + 1.
+Greedy mode packs shortest cycles first (each a k = 2 piece) and then
+tries to merge pieces pairwise into higher-k templates.
 
 Host arcs beyond the template's own are allowed inside a piece; extra
 side information never hurts decodability.
@@ -83,15 +87,19 @@ class _EmbeddingSearch:
     interchangeable, so sorted terminals lose nothing), main paths grow
     backward from their terminals with "stop" tried before "extend", and
     leftover vertices are assigned to connector paths pivot-first.  The
-    first embedding found under this order is the canonical one.
+    first embedding found under this order is the canonical one.  Branches
+    are cut only where they must fail: a terminal lacking k - 1 out-arcs
+    inside the subset, or fewer leftover vertices than the ordered pairs
+    whose terminal has no arc onto the other path (each such pair needs a
+    nonempty connector path of its own).
     """
 
-    def __init__(self, D: Digraph, out_m: list[int], in_m: list[int]):
-        self.D = D
+    def __init__(self, out_m: list[int], in_m: list[int]):
         self.out_m = out_m
         self.in_m = in_m
 
-    def max_piece(self, mask: int) -> Embedding | None:
+    def max_piece(self, mask: int, kmin: int = 2, kmax: int | None = None) -> Embedding | None:
+        """Largest-k spanning embedding on the subset with kmin <= k <= kmax."""
         out_m, in_m = self.out_m, self.in_m
         verts = list(iter_mask_vertices(mask))
         if len(verts) < 2 or not strongly_connected_mask(out_m, in_m, mask):
@@ -99,19 +107,15 @@ class _EmbeddingSearch:
         # a terminal needs k-1 outgoing arcs inside the subset
         deg = {v: bin(out_m[v] & mask).count("1") for v in verts}
         degs = sorted(deg.values(), reverse=True)
-        kmax = 0
-        for k in range(len(verts), 1, -1):
-            if degs[k - 1] >= k - 1:
-                kmax = k
-                break
-        for k in range(kmax, 1, -1):
+        top = len(verts) if kmax is None else min(kmax, len(verts))
+        for k in range(top, kmin - 1, -1):
+            if degs[k - 1] < k - 1:
+                continue
             cands = [v for v in verts if deg[v] >= k - 1]
             for terms in combinations(cands, k):
                 found = self._embed(mask, terms)
                 if found is not None:
-                    T, lab = found
-                    assert check_embedding(self.D, T, lab)
-                    return (k, T, lab)
+                    return (k, *found)
         return None
 
     def _embed(self, mask: int, terms: tuple[int, ...]) -> tuple[IccTemplate, Labeling] | None:
@@ -218,6 +222,11 @@ class _EmbeddingSearch:
                 if not in_m[v] & (pool | term_mask) or not out_m[v] & (pool | allp):
                     return None
                 m ^= b
+            # a pair whose terminal has no arc onto the other path needs a
+            # nonempty connector path of its own, drawn from the pool
+            bare = sum(1 for (i, j) in allpairs if not out_m[terms[i - 1]] & path_sets[j - 1])
+            if bare > bin(pool).count("1"):
+                return None
             enter = []
             for ps in path_sets:
                 e = 0
@@ -257,32 +266,59 @@ class _EmbeddingSearch:
         return grow(0, pool0)
 
 
+def _mais_table(in_m: list[int], n: int) -> list[int]:
+    """mais(S) for every vertex subset S of an n-vertex digraph, by bitmask.
+
+    A source of the induced subgraph lies on no cycle, so it joins every
+    acyclic subset: mais(S) = mais(S - v) + 1.  Without a source, some
+    vertex is left out: mais(S) = max over v of mais(S - v).
+    """
+    table = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        best = 0
+        m = mask
+        while m:
+            b = m & -m
+            m ^= b
+            if not in_m[b.bit_length()] & mask:
+                best = table[mask ^ b] + 1
+                break
+            if table[mask ^ b] > best:
+                best = table[mask ^ b]
+        table[mask] = best
+    return table
+
+
 def _exact_cover(D: Digraph) -> list[Piece]:
     out_m, in_m = out_masks(D), in_masks(D)
     full = full_mask(D.n)
     if is_acyclic_mask(in_m, full):
         return []
-    search = _EmbeddingSearch(D, out_m, in_m)
+    mais_of = _mais_table(in_m, D.n)
+    search = _EmbeddingSearch(out_m, in_m)
     emb: dict[int, Embedding] = {}
-    sav = [0] * (full + 1)
     by_low: dict[int, list[int]] = {}
-    for mask in range(1, full + 1):
-        got = search.max_piece(mask)
-        if got is not None:
-            emb[mask] = got
-            sav[mask] = got[0] - 1
-            by_low.setdefault(mask & -mask, []).append(mask)
     best = [0] * (full + 1)
     take = [0] * (full + 1)
+    # ascending masks visit every proper submask first; a piece on the
+    # mask itself is kept only when it strictly beats the best partition
+    # into smaller pieces, so a piece left out is never the DP's choice
     for mask in range(1, full + 1):
         low = mask & -mask
         b, t = best[mask ^ low], 0
         for p in by_low.get(low, ()):
             if p & ~mask:
                 continue
-            c = sav[p] + best[mask ^ p]
+            c = emb[p][0] - 1 + best[mask ^ p]
             if c > b:
                 b, t = c, p
+        bound = bin(mask).count("1") - mais_of[mask]
+        if bound > b:
+            got = search.max_piece(mask, b + 2, bound + 1)
+            if got is not None:
+                emb[mask] = got
+                by_low.setdefault(low, []).append(mask)
+                b, t = got[0] - 1, mask
         best[mask], take[mask] = b, t
     pieces: list[Piece] = []
     mask = full
@@ -309,7 +345,7 @@ def _greedy_cover(D: Digraph, merge_bound: int) -> list[Piece]:
         found.append((2, T, lab))
         for v in cyc:
             pool &= ~(1 << (v - 1))
-    search = _EmbeddingSearch(D, out_m, in_m)
+    search = _EmbeddingSearch(out_m, in_m)
     merged = True
     while merged:
         merged = False
@@ -318,8 +354,9 @@ def _greedy_cover(D: Digraph, merge_bound: int) -> list[Piece]:
                 union = _labeling_mask(found[a][2]) | _labeling_mask(found[b][2])
                 if bin(union).count("1") > merge_bound:
                     continue
-                got = search.max_piece(union)
-                if got is not None and got[0] >= found[a][0] + found[b][0]:
+                # a merge must save at least what the two pieces save apart
+                got = search.max_piece(union, found[a][0] + found[b][0])
+                if got is not None:
                     found[a] = got
                     del found[b]
                     merged = True

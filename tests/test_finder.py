@@ -1,11 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from iccover.digraph import new_digraph
+from iccover.digraph import full_mask, in_masks, induced_subdigraph, iter_mask_vertices, new_digraph, out_masks
 from iccover.errors import EmbeddingError, SizeRefusal
-from iccover.finder import DEFAULT_EXACT_BOUND, find_icc_subgraphs, make_plan
-from iccover.schemes import gap_family
+from iccover.finder import (
+    DEFAULT_EXACT_BOUND,
+    _EmbeddingSearch,
+    _mais_table,
+    find_icc_subgraphs,
+    make_plan,
+)
+from iccover.oracles import mais, mais_exhaustive, verify_code
+from iccover.schemes import assemble_code, gap_family, plan_length
 from iccover.template import build_digraph, check_embedding
 
 
@@ -116,3 +125,79 @@ def test_make_plan_orders_pieces():
     plan = make_plan(D, [hi, lo])
     firsts = [min(lab.values()) for _, lab in plan.pieces]
     assert firsts == sorted(firsts)
+
+
+def random_digraph(rng, n, p):
+    return new_digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v and rng.random() < p])
+
+
+@st.composite
+def digraphs(draw, max_n=8):
+    n = draw(st.integers(0, max_n))
+    p = draw(st.floats(0.1, 0.9))
+    return random_digraph(draw(st.randoms(use_true_random=False)), n, p)
+
+
+def unpruned_exact_plan(D):
+    """Exact plan scoring every subset at its largest k, then packing."""
+    search = _EmbeddingSearch(out_masks(D), in_masks(D))
+    full = full_mask(D.n)
+    emb, by_low = {}, {}
+    for mask in range(1, full + 1):
+        got = search.max_piece(mask)
+        if got is not None:
+            emb[mask] = got
+            by_low.setdefault(mask & -mask, []).append(mask)
+    best = [0] * (full + 1)
+    take = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        b, t = best[mask ^ low], 0
+        for p in by_low.get(low, ()):
+            if p & ~mask:
+                continue
+            c = emb[p][0] - 1 + best[mask ^ p]
+            if c > b:
+                b, t = c, p
+        best[mask], take[mask] = b, t
+    pieces = []
+    mask = full
+    while mask:
+        p = take[mask]
+        if p:
+            pieces.append(emb[p][1:])
+            mask ^= p
+        else:
+            mask ^= mask & -mask
+    return make_plan(D, pieces)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(digraphs())
+def test_exact_plan_matches_unpruned_search(D):
+    plan = find_icc_subgraphs(D)
+    assert plan == unpruned_exact_plan(D)
+    assert verify_code(D, assemble_code(D, plan))
+    assert plan_length(D, plan) >= mais(D)
+
+
+def test_mais_table_matches_exhaustive():
+    rng = random.Random(11)
+    for n, p in ((5, 0.5), (6, 0.3), (7, 0.35), (7, 0.6)):
+        D = random_digraph(rng, n, p)
+        table = _mais_table(in_masks(D), n)
+        for mask in range(full_mask(n) + 1):
+            sub, _ = induced_subdigraph(D, iter_mask_vertices(mask))
+            assert table[mask] == mais_exhaustive(sub), (n, p, mask)
+
+
+def test_dense_twelve_vertex_instance_is_certified_optimal():
+    # once more than 15 minutes of unbounded search; the subset MAIS bound
+    # settles it in well under a second
+    D = random_digraph(random.Random(12), 12, 0.4)
+    assert len(D.arcs) == 57
+    plan = find_icc_subgraphs(D)
+    assert_plan_shape(D, plan)
+    assert plan.savings == 5
+    assert verify_code(D, assemble_code(D, plan))
+    assert plan_length(D, plan) == 7 == mais(D)
