@@ -218,34 +218,86 @@ def is_acyclic_mask(in_m: list[int], mask: int) -> bool:
 
 
 def shortest_cycle_mask(out_m: list[int], mask: int) -> tuple[int, ...] | None:
-    """Deterministic shortest directed cycle inside the induced bitmask, or None."""
-    best: tuple[int, tuple[int, ...]] | None = None
-    for s in iter_mask_vertices(mask):
-        sbit = 1 << (s - 1)
-        dist = {s: 0}
-        parent: dict[int, int] = {}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in iter_mask_vertices(out_m[u] & mask):
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        parent[v] = u
-                        nxt.append(v)
-            frontier = nxt
-        closing = [u for u in dist if out_m[u] & sbit]
-        if not closing:
-            continue
-        u = min(closing, key=lambda x: (dist[x], x))
-        path = [u]
-        while path[-1] != s:
-            path.append(parent[path[-1]])
-        cyc = tuple(reversed(path))
-        key = (len(cyc), cyc)
-        if best is None or key < best:
-            best = key
-    return None if best is None else best[1]
+    """Deterministic shortest directed cycle inside the induced bitmask, or None.
+
+    Tie rule: among the shortest cycles, the one whose start vertex s is
+    smallest; the cycle starts at s, so s is also its smallest vertex.
+    Through s, the closing vertex u (the last vertex before the arc back
+    to s) is the smallest of the in-neighbours of s nearest to s, and the
+    path s -> u is the lexicographically smallest shortest such path.
+
+    Start vertices go in ascending order, each with a level-synchronous
+    bitset BFS.  Two prunes keep it fast without changing the result:
+
+    - The BFS from s sees only the mask's vertices above s.  A shortest
+      cycle through s that contains a smaller vertex v was already found
+      from v, at no greater length, and on equal length the earlier start
+      wins.
+    - The BFS stops before any level whose closing arc would give a cycle
+      no shorter than the best so far, and a 2-cycle ends the search,
+      since no cycle is shorter.
+    """
+    best: tuple[int, ...] | None = None
+    best_len = mask.bit_count() + 1
+    rest = mask
+    while rest:
+        sbit = rest & -rest
+        rest ^= sbit  # now exactly the mask's vertices above s
+        levels = [sbit]
+        seen = frontier = sbit
+        while len(levels) < best_len:
+            # frontier is level d = len(levels) - 1; a closing arc from it
+            # makes a cycle of length d + 1 < best_len
+            nxt = u = 0
+            f = frontier
+            while f:
+                b = f & -f
+                f ^= b
+                arcs = out_m[b.bit_length()]
+                if arcs & sbit:
+                    u = b
+                    break
+                nxt |= arcs
+            if u:
+                best, best_len = _lexmin_path(out_m, levels, u), len(levels)
+                break
+            frontier = nxt & rest & ~seen
+            if not frontier:
+                break
+            seen |= frontier
+            levels.append(frontier)
+        if best_len == 2:
+            break
+    return best
+
+
+def _lexmin_path(out_m: list[int], levels: list[int], u: int) -> tuple[int, ...]:
+    """Lexicographically smallest path levels[0] -> u through one vertex per BFS level.
+
+    u lies in levels[-1].  Backward reachability marks, on each level, the
+    vertices with a shortest path on to u; the forward walk then takes the
+    lowest marked successor at every step.  This is the path that FIFO
+    parent pointers with ascending neighbour order would give.
+    """
+    reach = [u]
+    for level in reversed(levels[:-1]):
+        target = reach[-1]
+        marked = 0
+        m = level
+        while m:
+            b = m & -m
+            m ^= b
+            if out_m[b.bit_length()] & target:
+                marked |= b
+        reach.append(marked)
+    reach.reverse()
+    v = levels[0]
+    path = [v.bit_length()]
+    for marked in reach[1:]:
+        succ = out_m[v.bit_length()] & marked
+        v = succ & -succ
+        path.append(v.bit_length())
+    return tuple(path)
 
 
 def _reach_mask(masks: list[int], mask: int, start_bit: int) -> int:

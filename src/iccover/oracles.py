@@ -22,7 +22,6 @@ from .digraph import (
     is_acyclic_mask,
     out_masks,
     shortest_cycle_mask,
-    side_info,
 )
 from .errors import InvalidCode, SizeRefusal
 from .template import IccTemplate, build_digraph
@@ -64,9 +63,32 @@ def gf2_rank(rows: list[int], ncols: int) -> int:
     return rank
 
 
+def _in_span(rows, vec: int) -> bool:
+    """True iff vec lies in the GF(2) span of rows (non-negative int bitsets).
+
+    One XOR-basis pass keyed by top bit, then vec is reduced against it.
+    """
+    basis: dict[int, int] = {}
+    for r in rows:
+        while r:
+            top = r.bit_length()
+            b = basis.get(top)
+            if b is None:
+                basis[top] = r
+                break
+            r ^= b
+    while vec:
+        b = basis.get(vec.bit_length())
+        if b is None:
+            return False
+        vec ^= b
+    return True
+
+
 def gf2_in_span(rows: list[int], vec: int, ncols: int) -> bool:
-    """True iff vec lies in the GF(2) row span of rows."""
-    return gf2_rank(list(rows) + [vec], ncols) == gf2_rank(list(rows), ncols)
+    """True iff vec lies in the GF(2) row span of rows, over columns 0..ncols-1."""
+    cols = full_mask(ncols)
+    return _in_span((r & cols for r in rows), vec & cols)
 
 
 def code_matrix(code: IndexCode, n: int) -> Gf2Matrix:
@@ -85,8 +107,14 @@ def code_matrix(code: IndexCode, n: int) -> Gf2Matrix:
 def gf2_decodable(M: Gf2Matrix, side: set[int], target: int) -> bool:
     """Can a receiver holding the side messages recover the target from M?
 
-    True iff the target's unit vector lies in the span of M's rows joined
-    with the side messages' unit vectors.
+    True iff the target's unit vector e_t lies in the span of M's rows
+    joined with the side messages' unit vectors e_j, j in S.  Since t is
+    not in S, that holds iff e_t lies in the span of the rows with the
+    columns of S cleared: project onto the coordinates outside S, which
+    sends every e_j to 0 and fixes e_t; conversely, if e_t equals a sum of
+    projected rows, the same sum of full rows differs from e_t only on S,
+    and side unit vectors cancel that difference.  So one elimination over
+    the projected rows decides it.
     """
     if any(not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= M.ncols for j in side):
         raise InvalidCode(f"side message ids must lie in 1..{M.ncols}")
@@ -94,8 +122,12 @@ def gf2_decodable(M: Gf2Matrix, side: set[int], target: int) -> bool:
         raise InvalidCode(f"target message must lie in 1..{M.ncols}, got {target!r}")
     if target in side:
         raise ValueError(f"target message {target} is already side information")
-    rows = list(M.rows) + [1 << (j - 1) for j in sorted(side)]
-    return gf2_in_span(rows, 1 << (target - 1), M.ncols)
+    return _decodable(M.rows, sum(1 << (j - 1) for j in set(side)), target)
+
+
+def _decodable(rows: tuple[int, ...], side_mask: int, target: int) -> bool:
+    keep = ~side_mask
+    return _in_span((r & keep for r in rows), 1 << (target - 1))
 
 
 @dataclass(frozen=True)
@@ -114,8 +146,9 @@ class VerifyResult:
 
 def verify_code(D: Digraph, code: IndexCode) -> VerifyResult:
     """Rank-certify that every receiver can decode its message from the code."""
-    M = code_matrix(code, D.n)
-    verdicts = tuple(gf2_decodable(M, side_info(D, i), i) for i in range(1, D.n + 1))
+    rows = code_matrix(code, D.n).rows
+    side = out_masks(D)
+    verdicts = tuple(_decodable(rows, side[i], i) for i in range(1, D.n + 1))
     return VerifyResult(all(verdicts), verdicts)
 
 

@@ -227,11 +227,14 @@ def clique_to_template(D: Digraph, vertices: Iterable[int]) -> tuple[IccTemplate
 
 
 def random_template(k: int, max_path_len: int = 4, density: float = 0.3, seed: int = 0) -> IccTemplate:
-    """Draw a valid template; density is the chance a pair gets a connector."""
+    """Draw a valid template; density, in [0, 1], is the chance a pair gets a connector."""
     if not _is_count(k) or k < 1:
         raise InvalidTemplate(f"k must be a positive integer, got {k!r}")
     if not _is_count(max_path_len) or max_path_len < 1:
         raise InvalidTemplate(f"max_path_len must be >= 1, got {max_path_len!r}")
+    # the chained comparison is also false for NaN
+    if not isinstance(density, (int, float)) or not 0 <= density <= 1:
+        raise InvalidTemplate(f"density must be a number in [0, 1], got {density!r}")
     rng = random.Random(seed)
     type_i = tuple(rng.randint(1, max_path_len) for _ in range(k))
     pairs = [(i, j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j]

@@ -44,6 +44,13 @@ def test_gen_random_deterministic(capsys):
     json.loads(first)
 
 
+@pytest.mark.parametrize("density", ["2", "-1", "nan"])
+def test_gen_random_rejects_bad_density(density, capsys):
+    assert main(["gen-random", "--k", "3", "--density", density]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "density" in captured.err
+
+
 def test_encode_support_only(tdir, capsys):
     assert main(["encode", "--template", str(tdir / "t.json")]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iccover.digraph import (
     Cycle,
@@ -120,8 +123,6 @@ def brute_acyclic(D, vertices):
 
 
 def test_mask_helpers_against_brute_force():
-    import random
-
     rng = random.Random(3)
     for _ in range(30):
         n = rng.randint(1, 6)
@@ -155,3 +156,71 @@ def test_strongly_connected_mask():
     assert not strongly_connected_mask(out_m, in_m, 0b1100)
     assert not strongly_connected_mask(out_m, in_m, 0b0111)
     assert strongly_connected_mask(out_m, in_m, 0b0001)
+
+
+def _reference_shortest_cycle(out_m, mask):
+    """All-sources dict BFS that defines the tie rule shortest_cycle_mask must match."""
+    best = None
+    for s in iter_mask_vertices(mask):
+        sbit = 1 << (s - 1)
+        dist = {s: 0}
+        parent = {}
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in iter_mask_vertices(out_m[u] & mask):
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        parent[v] = u
+                        nxt.append(v)
+            frontier = nxt
+        closing = [u for u in dist if out_m[u] & sbit]
+        if not closing:
+            continue
+        u = min(closing, key=lambda x: (dist[x], x))
+        path = [u]
+        while path[-1] != s:
+            path.append(parent[path[-1]])
+        cyc = tuple(reversed(path))
+        key = (len(cyc), cyc)
+        if best is None or key < best:
+            best = key
+    return None if best is None else best[1]
+
+
+def _random_digraph(rng, n, p):
+    return new_digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v and rng.random() < p])
+
+
+@st.composite
+def digraphs_with_masks(draw, max_n=14):
+    n = draw(st.integers(1, max_n))
+    D = _random_digraph(draw(st.randoms(use_true_random=False)), n, draw(st.floats(0.0, 0.7)))
+    return D, draw(st.integers(0, full_mask(n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(digraphs_with_masks())
+def test_shortest_cycle_matches_reference(case):
+    D, mask = case
+    out_m = out_masks(D)
+    assert shortest_cycle_mask(out_m, mask) == _reference_shortest_cycle(out_m, mask)
+
+
+@pytest.mark.parametrize("n", [60, 100, 160])
+def test_shortest_cycle_matches_reference_over_greedy_extraction(n):
+    rng = random.Random(n)
+    D = _random_digraph(rng, n, 6.0 / (n - 1))
+    out_m = out_masks(D)
+    pool = full_mask(n)
+    steps = 0
+    while True:
+        cyc = shortest_cycle_mask(out_m, pool)
+        assert cyc == _reference_shortest_cycle(out_m, pool)
+        if cyc is None:
+            break
+        steps += 1
+        for v in cyc:
+            pool &= ~(1 << (v - 1))
+    assert steps >= n // 10

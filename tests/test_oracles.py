@@ -5,6 +5,7 @@ import pytest
 
 from iccover.codec import IndexCode, CodedSymbol, encode
 from iccover.digraph import new_digraph, side_info
+from iccover.schemes import assemble_code, clique_cover, cycle_cover, icc_cover
 from iccover.errors import InvalidCode, SizeRefusal
 from iccover.oracles import (
     Gf2Matrix,
@@ -67,6 +68,16 @@ def test_code_matrix(d1_template):
     bad = IndexCode((CodedSymbol({9}),))
     with pytest.raises(InvalidCode):
         code_matrix(bad, 6)
+
+
+def test_gf2_in_span_against_rank():
+    rng = random.Random(8)
+    for _ in range(300):
+        ncols = rng.randint(1, 8)
+        rows = [rng.randrange(1 << (ncols + 2)) for _ in range(rng.randint(0, 6))]
+        vec = rng.randrange(1 << (ncols + 2))
+        # bits at or above ncols lie outside the matrix and are ignored
+        assert gf2_in_span(rows, vec, ncols) == (gf2_rank(rows + [vec], ncols) == gf2_rank(rows, ncols))
 
 
 def test_gf2_decodable_basics():
@@ -179,3 +190,46 @@ def test_every_cycle_hits_two_terminals(corpus):
         assert not truncated
         for c in cycles:
             assert len(set(c.vertices) & terminals) >= min(2, T.k)
+
+
+def decodable_by_definition(rows, side, target, n):
+    units = [1 << (j - 1) for j in side]
+    base = gf2_rank(list(rows) + units, n)
+    return gf2_rank(list(rows) + units + [1 << (target - 1)], n) == base
+
+
+def assert_verdicts_match_definition(D, code):
+    M = code_matrix(code, D.n)
+    want = []
+    for t in range(1, D.n + 1):
+        side = side_info(D, t)
+        ok = decodable_by_definition(M.rows, side, t, D.n)
+        assert gf2_decodable(M, side, t) == ok, t
+        want.append(ok)
+    res = verify_code(D, code)
+    assert res.verdicts == tuple(want) and res.valid == all(want)
+    return res.valid
+
+
+def test_decodability_matches_rank_definition_on_random_codes():
+    rng = random.Random(17)
+    invalid = 0
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        p = rng.random()
+        D = new_digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v and rng.random() < p])
+        code = IndexCode(
+            tuple(CodedSymbol(set(rng.sample(range(1, n + 1), rng.randint(1, n)))) for _ in range(rng.randint(0, n)))
+        )
+        invalid += not assert_verdicts_match_definition(D, code)
+    assert 0 < invalid < 400
+
+
+@pytest.mark.parametrize("n,cover", [(100, icc_cover), (110, cycle_cover), (120, clique_cover)])
+def test_decodability_matches_rank_definition_on_greedy_codes(n, cover):
+    rng = random.Random(n)
+    D = new_digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v and rng.random() < 7.0 / (n - 1)])
+    code = assemble_code(D, cover(D, "greedy"))
+    assert assert_verdicts_match_definition(D, code)
+    # without its first symbol some receiver must fail
+    assert not assert_verdicts_match_definition(D, IndexCode(code.symbols[1:]))
