@@ -4,7 +4,11 @@ The code for a template has one pair symbol per consecutive path edge,
 one bridge symbol per nonempty connector, and a single combined parity
 of all main-path terminals, for n - k + 1 symbols total.  Packets are
 t-bit strings packed little-endian into ceil(t/8) bytes with zero
-padding bits.
+padding bits.  The XOR itself runs on Python ints: every operand is read
+once with ``int.from_bytes(p, "little")``, the operands of one symbol or
+one receiver are folded with ``^``, and the result is written back once
+with ``to_bytes(width, "little")``.  Byte i of a packet is bits 8i..8i+7
+of its int, so the padding bits stay the top bits and stay zero.
 
 ``decode_receiver`` follows the structural chains: a path vertex cancels
 its successor's packet out of one pair symbol; a main-path terminal
@@ -22,6 +26,7 @@ from .errors import (
     DecodeFailure,
     FormatError,
     InvalidCode,
+    InvalidTemplate,
     MissingCodedSymbol,
     MissingSidePacket,
 )
@@ -38,10 +43,27 @@ def packet_bytes(t: int) -> int:
     return (t + 7) // 8
 
 
+def _xor_all(operands) -> bytes:
+    """XOR equal-width packets, consuming `operands` lazily in order.
+
+    Each operand's width is checked before the next one is drawn, so a
+    generator that fetches operands raises in the same order as a chain
+    of pairwise XORs would.  Equal widths keep the int below 256**width,
+    so ``to_bytes`` cannot overflow.
+    """
+    it = iter(operands)
+    first = next(it)
+    width = len(first)
+    acc = int.from_bytes(first, "little")
+    for p in it:
+        if len(p) != width:
+            raise InvalidCode(f"packet length mismatch: {width} vs {len(p)} bytes")
+        acc ^= int.from_bytes(p, "little")
+    return acc.to_bytes(width, "little")
+
+
 def xor_bytes(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise InvalidCode(f"packet length mismatch: {len(a)} vs {len(b)} bytes")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return _xor_all((a, b))
 
 
 @dataclass(frozen=True)
@@ -121,61 +143,54 @@ def _layout(T: IccTemplate) -> list[tuple[tuple[Coord, ...], str]]:
     return rows
 
 
-def _checked_labeling(T: IccTemplate, labeling: Labeling) -> list[Coord]:
+def _require_valid(T: IccTemplate) -> None:
+    problems = validate_template(T)
+    if problems:
+        raise InvalidTemplate(problems)
+
+
+def _checked_labeling(T: IccTemplate, labeling: Labeling) -> list[int]:
+    """Message ids of T's coordinates in coords() order; complete and injective."""
     coords = T.coords()
-    missing = [c for c in coords if c not in labeling]
-    if missing:
-        raise InvalidCode(f"labeling missing coordinate {missing[0]}")
-    ids = [labeling[c] for c in coords]
+    try:
+        ids = [labeling[c] for c in coords]
+    except KeyError:
+        missing = next(c for c in coords if c not in labeling)
+        raise InvalidCode(f"labeling missing coordinate {missing}") from None
     if len(set(ids)) != len(ids):
         raise InvalidCode("labeling is not injective")
-    return coords
+    return ids
 
 
 def encode(T: IccTemplate, labeling: Labeling, packets: PacketVector | None = None) -> IndexCode:
     """Produce the template's index code; payloads are filled when packets are given."""
-    problems = validate_template(T)
-    if problems:
-        from .errors import InvalidTemplate
-
-        raise InvalidTemplate(problems)
-    coords = _checked_labeling(T, labeling)
+    _require_valid(T)
+    ids = _checked_labeling(T, labeling)
     if packets is not None:
-        for c in coords:
-            m = labeling[c]
+        for m in ids:
             if not 1 <= m <= len(packets.packets):
                 raise InvalidCode(f"message id {m} outside packet vector of size {len(packets.packets)}")
     ops = 0
     symbols = []
     for row, tag in _layout(T):
-        support = frozenset(labeling[c] for c in row)
+        row_ids = [labeling[c] for c in row]
         payload = None
         if packets is not None:
-            payload = packets.packet(labeling[row[0]])
-            for c in row[1:]:
-                payload = xor_bytes(payload, packets.packet(labeling[c]))
-                ops += packets.t
-        symbols.append(CodedSymbol(support, payload, tag))
+            payload = _xor_all([packets.packets[m - 1] for m in row_ids])
+            ops += (len(row) - 1) * packets.t
+        symbols.append(CodedSymbol(frozenset(row_ids), payload, tag))
     return IndexCode(tuple(symbols), xor_bit_ops=ops if packets is not None else None)
 
 
 def code_length(T: IccTemplate) -> int:
     """Number of broadcast symbols the template's code needs: n - k + 1."""
-    problems = validate_template(T)
-    if problems:
-        from .errors import InvalidTemplate
-
-        raise InvalidTemplate(problems)
+    _require_valid(T)
     return T.n - T.k + 1
 
 
 def xor_op_count(T: IccTemplate, t: int) -> int:
     """Exact bit-XOR operations the encoder spends on t-bit packets."""
-    problems = validate_template(T)
-    if problems:
-        from .errors import InvalidTemplate
-
-        raise InvalidTemplate(problems)
+    _require_valid(T)
     if not isinstance(t, int) or isinstance(t, bool) or t < 1:
         raise InvalidCode(f"packet width must be a positive bit count, got {t!r}")
     return sum((len(row) - 1) * t for row, _ in _layout(T))
@@ -194,11 +209,7 @@ def decode_receiver(
     out-neighbors in the built digraph; a superset is fine.  Raises
     MissingCodedSymbol or MissingSidePacket when a dependency is absent.
     """
-    problems = validate_template(T)
-    if problems:
-        from .errors import InvalidTemplate
-
-        raise InvalidTemplate(problems)
+    _require_valid(T)
     _checked_labeling(T, labeling)
     inverse = {m: c for c, m in labeling.items()}
     coord = inverse.get(receiver)
@@ -226,29 +237,32 @@ def decode_receiver(
         i, a = coord
         ni = T.n_i(i)
         if a < ni:
-            return xor_bytes(fetch((i, a), (i, a + 1)), side(labeling[(i, a + 1)]))
-        # main-path terminal: fold every other path into the combined parity
-        acc = fetch(*(T.terminal(h) for h in range(1, T.k + 1)))
-        for h in range(1, T.k + 1):
-            if h == i:
-                continue
-            q = T.q(i, h)
-            for b in range(q, T.n_i(h)):
-                acc = xor_bytes(acc, fetch((h, b), (h, b + 1)))
-            nih = T.n_ij(i, h)
-            if nih == 0:
-                acc = xor_bytes(acc, side(labeling[(h, q)]))
-            else:
-                for b in range(1, nih):
-                    acc = xor_bytes(acc, fetch((i, h, b), (i, h, b + 1)))
-                acc = xor_bytes(acc, fetch((i, h, nih), (h, q)))
-                acc = xor_bytes(acc, side(labeling[(i, h, 1)]))
-        return acc
+            return _xor_all((fetch((i, a), (i, a + 1)), side(labeling[(i, a + 1)])))
+
+        def parity_operands():
+            # main-path terminal: fold every other path into the combined parity
+            yield fetch(*(T.terminal(h) for h in range(1, T.k + 1)))
+            for h in range(1, T.k + 1):
+                if h == i:
+                    continue
+                q = T.q(i, h)
+                for b in range(q, T.n_i(h)):
+                    yield fetch((h, b), (h, b + 1))
+                nih = T.n_ij(i, h)
+                if nih == 0:
+                    yield side(labeling[(h, q)])
+                else:
+                    for b in range(1, nih):
+                        yield fetch((i, h, b), (i, h, b + 1))
+                    yield fetch((i, h, nih), (h, q))
+                    yield side(labeling[(i, h, 1)])
+
+        return _xor_all(parity_operands())
     i, j, a = coord
     nij = T.n_ij(i, j)
     if a < nij:
-        return xor_bytes(fetch((i, j, a), (i, j, a + 1)), side(labeling[(i, j, a + 1)]))
-    return xor_bytes(fetch((i, j, nij), (j, T.q(i, j))), side(labeling[(j, T.q(i, j))]))
+        return _xor_all((fetch((i, j, a), (i, j, a + 1)), side(labeling[(i, j, a + 1)])))
+    return _xor_all((fetch((i, j, nij), (j, T.q(i, j))), side(labeling[(j, T.q(i, j))])))
 
 
 # ---------- text formats ----------

@@ -214,23 +214,35 @@ def _exact_clique_partition(D: Digraph) -> list[list[int]]:
 
 
 def _greedy_clique_partition(D: Digraph) -> list[list[int]]:
+    """Maximal groups, each seeded by the highest mutual degree among the
+    remaining vertices (ties to the lowest id), members added in the
+    same order.
+
+    Degrees are kept incrementally: removing a group lowers only its
+    members' remaining mutual neighbors.  Once the highest degree is 0,
+    every remaining vertex is a group of its own, in ascending order.
+    """
     mut = _mutual_masks(D)
+    deg = [m.bit_count() for m in mut]
     remaining = full_mask(D.n)
     groups: list[list[int]] = []
     while remaining:
         verts = list(iter_mask_vertices(remaining))
-        deg = {v: bin(mut[v] & remaining).count("1") for v in verts}
-        seed = min(verts, key=lambda v: (-deg[v], v))
+        # max returns the first maximal vertex, that is the lowest id
+        seed = max(verts, key=deg.__getitem__)
+        if deg[seed] == 0:
+            groups.extend([v] for v in verts)
+            break
         cmask = 1 << (seed - 1)
-        cands = sorted(
-            (v for v in verts if v != seed and mut[v] >> (seed - 1) & 1),
-            key=lambda v: (-deg[v], v),
-        )
-        for u in cands:
+        for u in sorted(iter_mask_vertices(mut[seed] & remaining), key=lambda v: (-deg[v], v)):
             if (mut[u] & cmask) == cmask:
                 cmask |= 1 << (u - 1)
-        groups.append(list(iter_mask_vertices(cmask)))
         remaining &= ~cmask
+        group = list(iter_mask_vertices(cmask))
+        for u in group:
+            for w in iter_mask_vertices(mut[u] & remaining):
+                deg[w] -= 1
+        groups.append(group)
     return groups
 
 

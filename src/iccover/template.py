@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Iterable
 
 from .digraph import Cycle, Digraph, new_digraph
@@ -66,18 +67,26 @@ class IccTemplate:
         return self.attach[(i, j)]
 
     def pairs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(1, self.k + 1) for j in range(1, self.k + 1) if i != j]
+        """Ordered pairs (i, j), i != j, in lexicographic order."""
+        return list(permutations(range(1, self.k + 1), 2))
 
     def terminal(self, i: int) -> Coord:
         return (i, self.n_i(i))
 
     def coords(self) -> list[Coord]:
-        """All vertex coordinates: main paths by index, then connectors by pair."""
-        out: list[Coord] = []
-        for i in range(1, self.k + 1):
-            out.extend((i, a) for a in range(1, self.n_i(i) + 1))
-        for (i, j) in self.pairs():
-            out.extend((i, j, a) for a in range(1, self.n_ij(i, j) + 1))
+        """All vertex coordinates: main paths by index, then connectors by pair.
+
+        Only nonzero connectors are walked: keys that are not one of pairs()
+        contribute nothing, and sorting the rest gives the pairs() order.
+        """
+        span = range(1, self.k + 1)
+        out: list[Coord] = [(i, a) for i in span for a in range(1, self.type_i[i - 1] + 1)]
+        linked = sorted(
+            (p, ln)
+            for p, ln in self.type_ii.items()
+            if ln and isinstance(p, tuple) and len(p) == 2 and p[0] in span and p[1] in span and p[0] != p[1]
+        )
+        out += [(i, j, a) for (i, j), ln in linked for a in range(1, ln + 1)]
         return out
 
 
@@ -88,7 +97,38 @@ def validate_template(T: IccTemplate) -> list[str]:
     every main path's first vertex must be targeted by some attachment so
     that it has an incoming arc in the built digraph.  A single-path
     template (k = 1) has no pairs and is exempt from those checks.
+
+    Sound templates are confirmed by set comparisons of the key views and
+    one range check per attachment; anything else goes through the full
+    routine, which lists every problem in a fixed order.
     """
+    if _is_sound(T):
+        return []
+    return _template_problems(T)
+
+
+def _is_sound(T: IccTemplate) -> bool:
+    # exact int type checks: bools and int subclasses take the full routine
+    k, type_i, attach = T.k, T.type_i, T.attach
+    if not (type(k) is int and k >= 1 and len(type_i) == k and all(type(ln) is int and ln >= 1 for ln in type_i)):
+        return False
+    pairs = T.pairs()
+    if not (attach.keys() == set(pairs) and T.type_ii.keys() <= attach.keys()):
+        return False
+    if not all(type(ln) is int and ln >= 0 for ln in T.type_ii.values()):
+        return False
+    targeted = set()
+    # look keys up by pairs(): a stored key may be an equal tuple of floats
+    for i, j in pairs:
+        q = attach[(i, j)]
+        if not (type(q) is int and 1 <= q <= type_i[j - 1]):
+            return False
+        if q == 1:
+            targeted.add(j)
+    return k == 1 or len(targeted) == k
+
+
+def _template_problems(T: IccTemplate) -> list[str]:
     if not _is_count(T.k) or T.k < 1:
         return [f"k must be a positive integer, got {T.k!r}"]
     problems: list[str] = []

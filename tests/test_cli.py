@@ -86,6 +86,19 @@ def test_decode_missing_side(tdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_decode_rejects_side_width_mismatch(tdir, capsys):
+    pk = tdir / "pk.txt"
+    pk.write_text("t=16\n" + "".join(f"{i:02x}{i:02x}\n" for i in (0x11, 0x22, 0x33, 0x44, 0x55, 0x66)))
+    code = tdir / "code.txt"
+    assert main(["encode", "--template", str(tdir / "t.json"), "--packets", str(pk), "--out", str(code)]) == 0
+    side = tdir / "side.txt"
+    side.write_text("t=8\n2=22\n")
+    assert main(["decode", "--template", str(tdir / "t.json"), "--code", str(code), "--receiver", "1", "--side", str(side)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "packet length mismatch: 2 vs 1 bytes" in captured.err
+
+
 def test_verify_valid_and_invalid(tdir, capsys):
     code = tdir / "code.txt"
     main(["encode", "--template", str(tdir / "t.json"), "--out", str(code)])

@@ -1,6 +1,9 @@
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_packets
 from iccover.codec import (
@@ -10,6 +13,7 @@ from iccover.codec import (
     TAG_SUM,
     IndexCode,
     CodedSymbol,
+    PacketVector,
     code_length,
     decode_receiver,
     encode,
@@ -33,7 +37,7 @@ from iccover.errors import (
     MissingCodedSymbol,
     MissingSidePacket,
 )
-from iccover.template import IccTemplate, build_digraph
+from iccover.template import IccTemplate, build_digraph, random_template
 
 
 def test_packet_vector_validation():
@@ -55,8 +59,18 @@ def test_packet_vector_validation():
 
 def test_xor_bytes():
     assert xor_bytes(b"\x0f\xf0", b"\xff\xff") == b"\xf0\x0f"
+    # leading and trailing zero bytes survive the int round trip
+    assert xor_bytes(b"\x00\x01\x00", b"\x00\x00\x00") == b"\x00\x01\x00"
+    assert xor_bytes(b"", b"") == b""
     with pytest.raises(InvalidCode):
         xor_bytes(b"\x00", b"\x00\x00")
+    with pytest.raises(InvalidCode):
+        xor_bytes(b"\xff\xff", b"\xff")
+
+
+def _reference_xor(packets):
+    """Byte-at-a-time XOR, the codec's definition before it moved to ints."""
+    return reduce(lambda a, b: bytes(x ^ y for x, y in zip(a, b)), packets)
 
 
 def test_d1_emission_order(d1_template):
@@ -94,6 +108,16 @@ def test_encode_validations(d1_template):
         encode(T, bad)
     with pytest.raises(InvalidCode):
         encode(T, lab, new_packet_vector(1, [b"\x00"] * 5))  # too few packets
+
+
+@pytest.mark.parametrize("odd", [b"\x01", b"\x01\x02\x03"], ids=["short", "long"])
+def test_encode_rejects_odd_width_packet(d1_template, odd):
+    # a hand-built vector skips new_packet_vector's width check
+    T, lab = d1_template
+    raw = [bytes([m, m]) for m in range(1, T.n + 1)]
+    raw[lab[(2, 1)] - 1] = odd
+    with pytest.raises(InvalidCode, match="packet length mismatch"):
+        encode(T, lab, PacketVector(16, tuple(raw)))
 
 
 def test_op_count_formula(corpus):
@@ -146,6 +170,41 @@ def test_decode_error_paths(d1_template):
     hollow = encode(T, lab)  # supports only
     with pytest.raises(DecodeFailure):
         decode_receiver(T, lab, hollow, recv, side)
+
+
+def _with_payload(code, index, payload):
+    symbols = list(code.symbols)
+    symbols[index] = CodedSymbol(symbols[index].support, payload, symbols[index].tag)
+    return IndexCode(tuple(symbols), code.xor_bit_ops)
+
+
+@pytest.mark.parametrize("coord", [(1, 1), (1, 2)], ids=["path", "terminal"])
+def test_decode_rejects_width_mismatch(d1_template, coord):
+    T, _ = d1_template
+    D, lab = build_digraph(T)
+    pv = rand_packets(16, T.n)
+    code = encode(T, lab, pv)
+    recv = lab[coord]
+    side = {m: pv.packet(m) for m in side_info(D, recv)}
+    assert decode_receiver(T, lab, code, recv, side) == pv.packet(recv)
+
+    for m in side:
+        short = dict(side)
+        short[m] = side[m][:1]
+        with pytest.raises(InvalidCode, match="packet length mismatch"):
+            decode_receiver(T, lab, code, recv, short)
+    # each symbol widened by one byte in turn
+    read = 0
+    for idx, sym in enumerate(code.symbols):
+        wide = _with_payload(code, idx, sym.payload + b"\x00")
+        try:
+            got = decode_receiver(T, lab, wide, recv, side)
+        except InvalidCode as exc:
+            assert "packet length mismatch" in str(exc)
+            read += 1
+        else:
+            assert got == pv.packet(recv)  # a symbol the receiver does not read
+    assert read == (1 if coord == (1, 1) else 3)
 
 
 def test_code_roundtrip_preserves_wire(d1_template):
@@ -226,3 +285,24 @@ def test_parse_side_rejects(text):
 def test_coded_symbol_freezes_support():
     s = CodedSymbol({2, 1})
     assert s.support == frozenset({1, 2})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 5),
+    max_path_len=st.integers(1, 3),
+    density=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**16),
+    t=st.integers(1, 40),
+)
+def test_int_xor_matches_byte_reference(k, max_path_len, density, seed, t):
+    T = random_template(k, max_path_len, density, seed)
+    D, lab = build_digraph(T)
+    pv = rand_packets(t, T.n, random.Random(seed))
+    code = encode(T, lab, pv)
+    assert code.xor_bit_ops == xor_op_count(T, t)
+    for sym in code.symbols:
+        assert sym.payload == _reference_xor([pv.packet(m) for m in sorted(sym.support)])
+    for v in range(1, D.n + 1):
+        side = {m: pv.packet(m) for m in side_info(D, v)}
+        assert decode_receiver(T, lab, code, v, side) == pv.packet(v)

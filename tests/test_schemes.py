@@ -4,10 +4,12 @@ import pytest
 
 from conftest import rand_packets
 from iccover.codec import TAG_UNCODED
-from iccover.digraph import new_digraph, side_info
+from iccover.digraph import full_mask, iter_mask_vertices, new_digraph, side_info
 from iccover.errors import EmbeddingError, InvalidDigraph, SizeRefusal
 from iccover.oracles import mais, verify_code
 from iccover.schemes import (
+    _greedy_clique_partition,
+    _mutual_masks,
     assemble_code,
     clique_cover,
     compare,
@@ -175,3 +177,36 @@ def test_gap_values():
         r = compare(D, exact_bound=D.n)
         assert r.l_cyc - r.l_icc == gap
         assert r.l_icc == mais(D) == k + 1
+
+
+def _reference_greedy_clique_partition(D):
+    """The greedy partition as first written: degrees recounted for every group."""
+    mut = _mutual_masks(D)
+    remaining = full_mask(D.n)
+    groups = []
+    while remaining:
+        verts = list(iter_mask_vertices(remaining))
+        deg = {v: bin(mut[v] & remaining).count("1") for v in verts}
+        seed = min(verts, key=lambda v: (-deg[v], v))
+        cmask = 1 << (seed - 1)
+        cands = sorted(
+            (v for v in verts if v != seed and mut[v] >> (seed - 1) & 1),
+            key=lambda v: (-deg[v], v),
+        )
+        for u in cands:
+            if (mut[u] & cmask) == cmask:
+                cmask |= 1 << (u - 1)
+        groups.append(list(iter_mask_vertices(cmask)))
+        remaining &= ~cmask
+    return groups
+
+
+def test_greedy_clique_partition_matches_reference():
+    rng = random.Random(29)
+    for n in range(60, 161, 20):
+        # sparse hosts like the greedy benchmark's, up to nearly complete ones
+        for p in (5.0 / (n - 1), 10.0 / (n - 1), 0.3, 0.7, 0.95):
+            D = new_digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v and rng.random() < p])
+            assert _greedy_clique_partition(D) == _reference_greedy_clique_partition(D), (n, p)
+    for D in (new_digraph(0, []), new_digraph(3, []), gap_family(4)):
+        assert _greedy_clique_partition(D) == _reference_greedy_clique_partition(D)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iccover.digraph import Cycle, new_digraph, side_info
 from iccover.errors import EmbeddingError, FormatError, InvalidDigraph, InvalidTemplate
@@ -52,6 +54,10 @@ def test_single_path_template():
         IccTemplate(2, (1, 1), {}, {(1, 2): 1}),
         # attach position beyond the target path
         IccTemplate(2, (1, 1), {}, {(1, 2): 2, (2, 1): 1}),
+        # attach position 0, with every first vertex targeted otherwise
+        IccTemplate(3, (1, 1, 1), {}, {(1, 2): 1, (1, 3): 1, (2, 1): 1, (2, 3): 0, (3, 1): 1, (3, 2): 1}),
+        # bool attach position
+        IccTemplate(2, (1, 1), {}, {(1, 2): True, (2, 1): 1}),
         # nobody lands on path 2's first vertex
         IccTemplate(3, (1, 2, 1), {}, {(1, 2): 2, (1, 3): 1, (2, 1): 1, (2, 3): 1, (3, 1): 1, (3, 2): 2}),
         # negative connector length
@@ -173,3 +179,143 @@ def test_parse_template_defers_semantic_checks():
     # shape-valid JSON parses even when the template itself is broken
     T = parse_template('{"k":2,"typeI":[1,1],"attach":{"1,2":1}}')
     assert validate_template(T) != []
+
+
+# ---------- differential checks against the routines before the fast path ----------
+
+
+def _count(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _reference_validate_template(T):
+    if not _count(T.k) or T.k < 1:
+        return [f"k must be a positive integer, got {T.k!r}"]
+    problems = []
+    if len(T.type_i) != T.k:
+        problems.append(f"expected {T.k} main-path lengths, got {len(T.type_i)}")
+    else:
+        for idx, ln in enumerate(T.type_i, start=1):
+            if not _count(ln) or ln < 1:
+                problems.append(f"main path {idx}: length must be >= 1, got {ln!r}")
+    if problems:
+        return problems
+    pairs = [(i, j) for i in range(1, T.k + 1) for j in range(1, T.k + 1) if i != j]
+    valid_pairs = set(pairs)
+    for key in sorted(T.type_ii, key=repr):
+        val = T.type_ii[key]
+        if key not in valid_pairs:
+            problems.append(f"connector for nonexistent pair {key!r}")
+        elif not _count(val) or val < 0:
+            problems.append(f"connector {key}: length must be >= 0, got {val!r}")
+    for key in sorted(T.attach, key=repr):
+        if key not in valid_pairs:
+            problems.append(f"attachment for nonexistent pair {key!r}")
+    for (i, j) in pairs:
+        if (i, j) not in T.attach:
+            problems.append(f"pair ({i},{j}): no attachment point")
+            continue
+        q = T.attach[(i, j)]
+        if not _count(q) or not 1 <= q <= T.type_i[j - 1]:
+            problems.append(f"pair ({i},{j}): attachment {q!r} out of range 1..{T.type_i[j - 1]}")
+    if problems:
+        return problems
+    if T.k >= 2:
+        for j in range(1, T.k + 1):
+            if not any(T.attach[(i, j)] == 1 for i in range(1, T.k + 1) if i != j):
+                problems.append(f"main path {j}: first vertex never targeted by an attachment")
+    return problems
+
+
+def _reference_coords(T):
+    out = []
+    for i in range(1, T.k + 1):
+        out.extend((i, a) for a in range(1, T.type_i[i - 1] + 1))
+    for i in range(1, T.k + 1):
+        for j in range(1, T.k + 1):
+            if i != j:
+                out.extend((i, j, a) for a in range(1, T.type_ii.get((i, j), 0) + 1))
+    return out
+
+
+ODD = st.sampled_from([0, -1, True, False, 1.0, None, "1", 99])
+
+
+@st.composite
+def rough_templates(draw):
+    """Templates that are sound about half the time, with one or more
+    defects otherwise: foreign pair keys, out-of-range, bool or missing
+    attachments, negative or non-integer lengths.  Float keys equal to a
+    pair are not defects: dict lookups by the int pair find them."""
+    k = draw(st.one_of(st.integers(1, 5), st.integers(1, 5), st.sampled_from([0, -1, True, 2.0])))
+    if not _count(k) or k < 1:
+        return IccTemplate(k, (1,))
+    lengths = [draw(st.integers(1, 3)) for _ in range(k)]
+    type_i = list(lengths)
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j]
+    type_ii = {p: draw(st.integers(0, 2)) for p in pairs if draw(st.booleans())}
+    attach = {(i, j): draw(st.integers(1, lengths[j - 1])) for (i, j) in pairs}
+    landing = [((j % k) + 1, j) for j in range(1, k + 1)] if k >= 2 and draw(st.integers(0, 3)) else []
+    for p in landing:
+        attach[p] = 1  # every first vertex targeted
+    spare = [p for p in pairs if p not in landing] or pairs
+    foreign = st.sampled_from([(1, 1), (0, 1), (k + 1, 1), (1, k + 1), (1, 2, 3), "1,2", (1.0, 2)])
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        kind = draw(st.integers(0, 8))
+        if kind == 0 and type_i:
+            type_i[draw(st.integers(0, len(type_i) - 1))] = draw(ODD)
+        elif kind == 1:
+            type_i.append(1) if draw(st.booleans()) or not type_i else type_i.pop()
+        elif kind == 2:
+            type_ii[draw(foreign)] = draw(st.integers(0, 2))
+        elif kind == 3 and pairs:
+            type_ii[draw(st.sampled_from(pairs))] = draw(ODD)
+        elif kind == 4:
+            attach[draw(foreign)] = 1
+        elif kind == 5 and pairs:
+            attach.pop(draw(st.sampled_from(pairs)), None)
+        elif kind == 6 and pairs:
+            attach[draw(st.sampled_from(spare))] = draw(ODD)
+        elif kind == 7 and pairs:
+            p = draw(st.sampled_from(spare))
+            attach[p] = draw(st.sampled_from([0, lengths[p[1] - 1] + 1]))
+        elif kind == 8 and pairs:
+            # a key equal to a pair but holding floats
+            p = draw(st.sampled_from(pairs))
+            store = type_ii if p in type_ii and draw(st.booleans()) else attach
+            store[(float(p[0]), float(p[1]))] = store.pop(p)
+    return IccTemplate(k, tuple(type_i), type_ii, attach)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(rough_templates())
+def test_validate_template_matches_reference(T):
+    assert validate_template(T) == _reference_validate_template(T)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rough_templates())
+def test_coords_match_reference(T):
+    try:
+        expected = _reference_coords(T)
+    except (TypeError, IndexError):
+        return  # the full walk raised on a malformed template; no order to compare
+    assert T.coords() == expected
+
+
+def test_rough_templates_cover_sound_and_unsound():
+    seen = {True: 0, False: 0}
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(rough_templates())
+    def tally(T):
+        seen[validate_template(T) == []] += 1
+
+    tally()
+    assert seen[True] >= 30 and seen[False] >= 30
+
+
+def test_validate_accepts_float_keys_equal_to_pairs():
+    T = IccTemplate(2, (1, 1), {(1.0, 2.0): 1}, {(1, 2): 1, (2.0, 1.0): 1})
+    assert validate_template(T) == _reference_validate_template(T) == []
+    assert T.coords() == _reference_coords(T) == [(1, 1), (2, 1), (1, 2, 1)]
