@@ -8,6 +8,7 @@ failed verification), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -63,9 +64,10 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     T = parse_template(_read(args.template))
+    lab = canonical_labeling(T)
     code = parse_code(_read(args.code))
     _, side = parse_side(_read(args.side))
-    packet = decode_receiver(T, canonical_labeling(T), code, args.receiver, side)
+    packet = decode_receiver(T, lab, code, args.receiver, side)
     sys.stdout.write(packet.hex() + "\n")
     return 0
 
@@ -145,8 +147,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: argparse takes about 2 ms to build one, and
+    # parsing leaves it unchanged
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if hasattr(args, "exact_bound") and args.exact_bound is None:
         raw = os.environ.get("ICC_EXACT_BOUND")

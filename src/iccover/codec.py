@@ -139,7 +139,8 @@ def _layout(T: IccTemplate) -> list[tuple[tuple[Coord, ...], str]]:
         nij = T.n_ij(i, j)
         if nij >= 1:
             rows.append((((i, j, nij), (j, T.q(i, j))), TAG_BRIDGE))
-    rows.append((tuple((i, T.n_i(i)) for i in range(1, T.k + 1)), TAG_SUM))
+    # a list first, as in finder.make_plan: no free-list drift
+    rows.append((tuple([(i, T.n_i(i)) for i in range(1, T.k + 1)]), TAG_SUM))
     return rows
 
 

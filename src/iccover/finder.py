@@ -69,7 +69,11 @@ def make_plan(D: Digraph, pieces: list[Piece]) -> CoverPlan:
             raise EmbeddingError(f"piece {idx} overlaps an earlier piece at {sorted(vs & covered)}")
         covered |= vs
     ordered = sorted(pieces, key=lambda piece: min(piece[1].values()))
-    uncovered = tuple(v for v in range(1, D.n + 1) if v not in covered)
+    # built from a list, not a generator: tuple() of a generator takes a
+    # 10-slot tuple and resizes it, so each call would move one block into
+    # the free list of another size, and CPython empties those lists (up
+    # to 2,000 tuples per size) only in a full gc pass
+    uncovered = tuple([v for v in range(1, D.n + 1) if v not in covered])
     return CoverPlan(tuple(ordered), uncovered)
 
 
@@ -92,11 +96,19 @@ class _EmbeddingSearch:
     inside the subset, or fewer leftover vertices than the ordered pairs
     whose terminal has no arc onto the other path (each such pair needs a
     nonempty connector path of its own).
+
+    The attempt in progress (terminals, main paths, ordered pairs) lives
+    on the object, so the recursive steps are methods rather than nested
+    closures, which would reference themselves and leave every search as
+    cyclic garbage.
     """
 
     def __init__(self, out_m: list[int], in_m: list[int]):
         self.out_m = out_m
         self.in_m = in_m
+        self.terms: tuple[int, ...] = ()
+        self.paths: list[list[int]] = []
+        self.allpairs: list[tuple[int, int]] = []
 
     def max_piece(self, mask: int, kmin: int = 2, kmax: int | None = None) -> Embedding | None:
         """Largest-k spanning embedding on the subset with kmin <= k <= kmax."""
@@ -119,151 +131,157 @@ class _EmbeddingSearch:
         return None
 
     def _embed(self, mask: int, terms: tuple[int, ...]) -> tuple[IccTemplate, Labeling] | None:
-        out_m, in_m = self.out_m, self.in_m
         k = len(terms)
-        paths: list[list[int]] = [[t] for t in terms]
+        self.terms = terms
+        self.paths = [[t] for t in terms]
+        self.allpairs = [(i, j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j]
         pool0 = mask
         for t in terms:
             pool0 &= ~(1 << (t - 1))
-        allpairs = [(i, j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j]
+        return self._grow(0, pool0)
 
-        def finalize(conn: dict[tuple[int, int], list[int]]):
-            type_ii: dict[tuple[int, int], int] = {}
-            attach: dict[tuple[int, int], int] = {}
-            for (i, j) in allpairs:
-                vs = conn.get((i, j))
-                src = vs[-1] if vs else terms[i - 1]
-                opts = [a for a, v in enumerate(paths[j - 1], start=1) if out_m[src] >> (v - 1) & 1]
-                if not opts:
-                    return None
-                attach[(i, j)] = opts[0]
-                if vs:
-                    type_ii[(i, j)] = len(vs)
-            for j in range(1, k + 1):
-                # some connection must land on path j's first vertex
-                if not any(attach[(i, j)] == 1 for i in range(1, k + 1) if i != j):
-                    return None
-            T = IccTemplate(k, tuple(len(p) for p in paths), type_ii, attach)
-            lab: Labeling = {}
-            for i, p in enumerate(paths, start=1):
-                for a, v in enumerate(p, start=1):
-                    lab[(i, a)] = v
-            for (i, j), vs in conn.items():
-                for a, v in enumerate(vs, start=1):
-                    lab[(i, j, a)] = v
-            return (T, lab)
-
-        def pivot_paths(pivot: int, pool: int, starts: int, targets: int):
-            # directed paths inside pool|{pivot} through pivot, starting at a
-            # start vertex and ending with an arc into the target set
-            def forward(chain: list[int], left: int):
-                if out_m[chain[-1]] & targets:
-                    yield list(chain)
-                for w in iter_mask_vertices(out_m[chain[-1]] & left):
-                    chain.append(w)
-                    yield from forward(chain, left & ~(1 << (w - 1)))
-                    chain.pop()
-
-            def backward(chain: list[int], left: int):
-                if starts >> (chain[0] - 1) & 1:
-                    yield from forward(list(chain), left)
-                for u in iter_mask_vertices(in_m[chain[0]] & left):
-                    chain.insert(0, u)
-                    yield from backward(chain, left & ~(1 << (u - 1)))
-                    chain.pop(0)
-
-            yield from backward([pivot], pool)
-
-        def place(conn, pool: int, path_sets: list[int], enter: list[int]):
-            if pool == 0:
-                return finalize(conn)
-            pivot_bit = pool & -pool
-            pivot = pivot_bit.bit_length()
-            rest = pool & ~pivot_bit
-            # cheap necessary conditions: the pivot's connector path must
-            # start at some terminal's out-neighbor and end next to its pair's
-            # target path, all within the remaining pool
-            back = _reach_mask(in_m, pool, pivot_bit)
-            fwd = _reach_mask(out_m, pool, pivot_bit)
-            for (i, j) in allpairs:
-                if (i, j) in conn:
-                    continue
-                if not back & out_m[terms[i - 1]] or not fwd & enter[j - 1]:
-                    continue
-                for vs in pivot_paths(pivot, rest, out_m[terms[i - 1]], path_sets[j - 1]):
-                    left = pool
-                    for v in vs:
-                        left &= ~(1 << (v - 1))
-                    conn[(i, j)] = vs
-                    got = place(conn, left, path_sets, enter)
-                    if got is not None:
-                        return got
-                    del conn[(i, j)]
-            return None
-
-        def connectors(pool: int):
-            path_sets = []
-            allp = 0
-            for p in paths:
-                m = 0
-                for v in p:
-                    m |= 1 << (v - 1)
-                path_sets.append(m)
-                allp |= m
-            term_mask = 0
-            for t in terms:
-                term_mask |= 1 << (t - 1)
-            # every leftover vertex must be enterable (from the pool or a
-            # terminal) and exitable (into the pool or onto a main path)
-            m = pool
-            while m:
-                b = m & -m
-                v = b.bit_length()
-                if not in_m[v] & (pool | term_mask) or not out_m[v] & (pool | allp):
-                    return None
-                m ^= b
-            # a pair whose terminal has no arc onto the other path needs a
-            # nonempty connector path of its own, drawn from the pool
-            bare = sum(1 for (i, j) in allpairs if not out_m[terms[i - 1]] & path_sets[j - 1])
-            if bare > bin(pool).count("1"):
+    def _finalize(self, conn: dict[tuple[int, int], list[int]]) -> tuple[IccTemplate, Labeling] | None:
+        out_m, terms, paths = self.out_m, self.terms, self.paths
+        k = len(terms)
+        type_ii: dict[tuple[int, int], int] = {}
+        attach: dict[tuple[int, int], int] = {}
+        for (i, j) in self.allpairs:
+            vs = conn.get((i, j))
+            src = vs[-1] if vs else terms[i - 1]
+            opts = [a for a, v in enumerate(paths[j - 1], start=1) if out_m[src] >> (v - 1) & 1]
+            if not opts:
                 return None
-            enter = []
-            for ps in path_sets:
-                e = 0
-                s = pool
-                while s:
-                    b = s & -s
-                    if out_m[b.bit_length()] & ps:
-                        e |= b
-                    s ^= b
-                enter.append(e)
-            # every ordered pair needs a possible attach source, and every
-            # path's first vertex needs one landing on it exactly
-            for jdx in range(k):
-                if not enter[jdx]:
-                    for idx in range(k):
-                        if idx != jdx and not out_m[terms[idx]] & path_sets[jdx]:
-                            return None
-                tj = 1 << (terms[jdx] - 1)
-                if not in_m[paths[jdx][0]] & ((term_mask ^ tj) | pool):
-                    return None
-            return place({}, pool, path_sets, enter)
+            attach[(i, j)] = opts[0]
+            if vs:
+                type_ii[(i, j)] = len(vs)
+        for j in range(1, k + 1):
+            # some connection must land on path j's first vertex
+            if not any(attach[(i, j)] == 1 for i in range(1, k + 1) if i != j):
+                return None
+        T = IccTemplate(k, tuple([len(p) for p in paths]), type_ii, attach)
+        lab: Labeling = {}
+        for i, p in enumerate(paths, start=1):
+            for a, v in enumerate(p, start=1):
+                lab[(i, a)] = v
+        for (i, j), vs in conn.items():
+            for a, v in enumerate(vs, start=1):
+                lab[(i, j, a)] = v
+        return (T, lab)
 
-        def grow(i: int, pool: int):
-            if i == k:
-                return connectors(pool)
-            got = grow(i + 1, pool)
-            if got is not None:
-                return got
-            for u in iter_mask_vertices(in_m[paths[i][0]] & pool):
-                paths[i].insert(0, u)
-                got = grow(i, pool & ~(1 << (u - 1)))
+    def _forward(self, chain: list[int], left: int, targets: int):
+        # extensions of chain inside left that end with an arc into targets
+        out_m = self.out_m
+        if out_m[chain[-1]] & targets:
+            yield list(chain)
+        for w in iter_mask_vertices(out_m[chain[-1]] & left):
+            chain.append(w)
+            yield from self._forward(chain, left & ~(1 << (w - 1)), targets)
+            chain.pop()
+
+    def _pivot_paths(self, chain: list[int], left: int, starts: int, targets: int):
+        # directed paths inside left plus chain, through chain (first the
+        # pivot alone), starting at a start vertex and ending with an arc
+        # into the target set
+        if starts >> (chain[0] - 1) & 1:
+            yield from self._forward(list(chain), left, targets)
+        for u in iter_mask_vertices(self.in_m[chain[0]] & left):
+            chain.insert(0, u)
+            yield from self._pivot_paths(chain, left & ~(1 << (u - 1)), starts, targets)
+            chain.pop(0)
+
+    def _place(self, conn, pool: int, path_sets: list[int], enter: list[int]):
+        if pool == 0:
+            return self._finalize(conn)
+        out_m, in_m, terms = self.out_m, self.in_m, self.terms
+        pivot_bit = pool & -pool
+        pivot = pivot_bit.bit_length()
+        rest = pool & ~pivot_bit
+        # cheap necessary conditions: the pivot's connector path must
+        # start at some terminal's out-neighbor and end next to its pair's
+        # target path, all within the remaining pool
+        back = _reach_mask(in_m, pool, pivot_bit)
+        fwd = _reach_mask(out_m, pool, pivot_bit)
+        for (i, j) in self.allpairs:
+            if (i, j) in conn:
+                continue
+            if not back & out_m[terms[i - 1]] or not fwd & enter[j - 1]:
+                continue
+            for vs in self._pivot_paths([pivot], rest, out_m[terms[i - 1]], path_sets[j - 1]):
+                left = pool
+                for v in vs:
+                    left &= ~(1 << (v - 1))
+                conn[(i, j)] = vs
+                got = self._place(conn, left, path_sets, enter)
                 if got is not None:
                     return got
-                paths[i].pop(0)
-            return None
+                del conn[(i, j)]
+        return None
 
-        return grow(0, pool0)
+    def _connectors(self, pool: int):
+        out_m, in_m, terms, paths = self.out_m, self.in_m, self.terms, self.paths
+        k = len(terms)
+        path_sets = []
+        allp = 0
+        for p in paths:
+            m = 0
+            for v in p:
+                m |= 1 << (v - 1)
+            path_sets.append(m)
+            allp |= m
+        term_mask = 0
+        for t in terms:
+            term_mask |= 1 << (t - 1)
+        # every leftover vertex must be enterable (from the pool or a
+        # terminal) and exitable (into the pool or onto a main path)
+        m = pool
+        while m:
+            b = m & -m
+            v = b.bit_length()
+            if not in_m[v] & (pool | term_mask) or not out_m[v] & (pool | allp):
+                return None
+            m ^= b
+        # a pair whose terminal has no arc onto the other path needs a
+        # nonempty connector path of its own, drawn from the pool
+        bare = sum(1 for (i, j) in self.allpairs if not out_m[terms[i - 1]] & path_sets[j - 1])
+        if bare > bin(pool).count("1"):
+            return None
+        enter = []
+        for ps in path_sets:
+            e = 0
+            s = pool
+            while s:
+                b = s & -s
+                if out_m[b.bit_length()] & ps:
+                    e |= b
+                s ^= b
+            enter.append(e)
+        # every ordered pair needs a possible attach source, and every
+        # path's first vertex needs one landing on it exactly
+        for jdx in range(k):
+            if not enter[jdx]:
+                for idx in range(k):
+                    if idx != jdx and not out_m[terms[idx]] & path_sets[jdx]:
+                        return None
+            tj = 1 << (terms[jdx] - 1)
+            if not in_m[paths[jdx][0]] & ((term_mask ^ tj) | pool):
+                return None
+        return self._place({}, pool, path_sets, enter)
+
+    def _grow(self, i: int, pool: int):
+        # grow main path i backward from its first vertex, "stop" first
+        paths = self.paths
+        if i == len(paths):
+            return self._connectors(pool)
+        got = self._grow(i + 1, pool)
+        if got is not None:
+            return got
+        for u in iter_mask_vertices(self.in_m[paths[i][0]] & pool):
+            paths[i].insert(0, u)
+            got = self._grow(i, pool & ~(1 << (u - 1)))
+            if got is not None:
+                return got
+            paths[i].pop(0)
+        return None
 
 
 def _mais_table(in_m: list[int], n: int) -> list[int]:

@@ -148,7 +148,8 @@ def verify_code(D: Digraph, code: IndexCode) -> VerifyResult:
     """Rank-certify that every receiver can decode its message from the code."""
     rows = code_matrix(code, D.n).rows
     side = out_masks(D)
-    verdicts = tuple(_decodable(rows, side[i], i) for i in range(1, D.n + 1))
+    # a list first, as in finder.make_plan: no free-list drift
+    verdicts = tuple([_decodable(rows, side[i], i) for i in range(1, D.n + 1)])
     return VerifyResult(all(verdicts), verdicts)
 
 
@@ -163,20 +164,6 @@ def mais(D: Digraph, bound: int = DEFAULT_MAIS_BOUND) -> int:
         raise SizeRefusal(f"exact acyclic-set search is limited to {bound} vertices (digraph has {D.n})")
     out_m = out_masks(D)
     full = full_mask(D.n)
-
-    def disjoint_cycles(mask: int) -> tuple[int, tuple[int, ...] | None]:
-        count, first = 0, None
-        m = mask
-        while True:
-            cyc = shortest_cycle_mask(out_m, m)
-            if cyc is None:
-                return count, first
-            if first is None:
-                first = cyc
-            count += 1
-            for v in cyc:
-                m &= ~(1 << (v - 1))
-
     # greedy feasible start: delete the first vertex of each shortest cycle
     m, removed = full, 0
     while True:
@@ -185,21 +172,34 @@ def mais(D: Digraph, bound: int = DEFAULT_MAIS_BOUND) -> int:
             break
         m &= ~(1 << (cyc[0] - 1))
         removed += 1
-    best = removed
+    return D.n - _min_cycle_cut(out_m, full, 0, removed)
 
-    def search(mask: int, removed: int) -> None:
-        nonlocal best
-        lb, first = disjoint_cycles(mask)
-        if removed + lb >= best:
-            return
+
+def _disjoint_cycles(out_m: list[int], mask: int) -> tuple[int, tuple[int, ...] | None]:
+    """Greedily packed disjoint shortest cycles inside mask: count and first."""
+    count, first = 0, None
+    while True:
+        cyc = shortest_cycle_mask(out_m, mask)
+        if cyc is None:
+            return count, first
         if first is None:
-            best = removed
-            return
-        for v in first:
-            search(mask & ~(1 << (v - 1)), removed + 1)
+            first = cyc
+        count += 1
+        for v in cyc:
+            mask &= ~(1 << (v - 1))
 
-    search(full, 0)
-    return D.n - best
+
+def _min_cycle_cut(out_m: list[int], mask: int, removed: int, best: int) -> int:
+    """Fewest removals (already removed ones counted) leaving mask acyclic,
+    or best when no cut beats it."""
+    lb, first = _disjoint_cycles(out_m, mask)
+    if removed + lb >= best:
+        return best
+    if first is None:
+        return removed
+    for v in first:
+        best = _min_cycle_cut(out_m, mask & ~(1 << (v - 1)), removed + 1, best)
+    return best
 
 
 def mais_exhaustive(D: Digraph, bound: int = EXHAUSTIVE_MAIS_BOUND) -> int:

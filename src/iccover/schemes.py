@@ -66,53 +66,70 @@ def _refuse(what: str, n: int, bound: int) -> SizeRefusal:
 # ---------- cycle packing ----------
 
 
-def _path_ends(D: Digraph, out_m: list[int]) -> list[int]:
-    """ends[mask]: possible last vertices (as bits) of a simple path that
-    starts at mask's smallest vertex and visits exactly mask."""
-    full = full_mask(D.n)
-    ends = [0] * (full + 1)
-    for v in range(1, D.n + 1):
-        ends[1 << (v - 1)] = 1 << (v - 1)
-    for mask in range(1, full + 1):
-        e = ends[mask]
-        if not e:
-            continue
-        anchor = mask & -mask
-        above = ~((anchor << 1) - 1)  # keep the anchor the smallest vertex
-        for u in iter_mask_vertices(e):
-            grow = out_m[u] & ~mask & above
+def _induced_cycles(out_m: list[int], in_m: list[int], n: int) -> list[int]:
+    """Vertex masks of every induced (chordless) cycle, in ascending order.
+
+    Paths grow from each cycle's smallest vertex s through higher
+    vertices, each new vertex w entered from the last one and touching no
+    earlier vertex: ``avoid`` collects the out-neighbours of every vertex
+    but the last and the in-neighbours of every vertex but s.  An arc
+    w -> s closes the cycle, and a longer path through w would have that
+    arc as a chord.
+    """
+    masks: list[int] = []
+    for s in range(1, n + 1):
+        sbit = 1 << (s - 1)
+        above = -(sbit << 1)  # the vertices above s
+        stack = [(s, sbit, 0)]  # (last vertex, path mask, avoid)
+        while stack:
+            last, pmask, avoid = stack.pop()
+            out_last = out_m[last]
+            grow = out_last & above & ~avoid
             while grow:
-                w = grow & -grow
-                ends[mask | w] |= w
-                grow ^= w
-    return ends
+                b = grow & -grow
+                grow ^= b
+                w = b.bit_length()
+                if out_m[w] & sbit:
+                    masks.append(pmask | b)
+                else:
+                    stack.append((w, pmask | b, avoid | out_last | in_m[w]))
+    masks.sort()
+    return masks
 
 
-def _ham_cycle(in_m: list[int], ends: list[int], mask: int) -> tuple[int, ...]:
-    """Recover one cycle visiting exactly mask, smallest vertex first."""
-    anchor = mask & -mask
-    opts = ends[mask] & in_m[anchor.bit_length()]
-    w = (opts & -opts).bit_length()
-    seq = [w]
-    cur = mask & ~(1 << (w - 1))
-    while cur != anchor:
-        opts = ends[cur] & in_m[seq[0]]
-        u = (opts & -opts).bit_length()
-        seq.insert(0, u)
-        cur &= ~(1 << (u - 1))
-    seq.insert(0, anchor.bit_length())
-    return tuple(seq)
+def _cycle_order(out_m: list[int], mask: int) -> tuple[int, ...]:
+    """An induced cycle's vertices in arc order, smallest first: inside
+    the cycle every vertex has exactly one out-neighbour."""
+    first = mask & -mask
+    seq = []
+    b = first
+    while True:
+        v = b.bit_length()
+        seq.append(v)
+        b = out_m[v] & mask
+        if b == first:
+            return tuple(seq)
 
 
 def _exact_cycle_packing(D: Digraph) -> list[tuple[int, ...]]:
+    """Most vertex-disjoint cycles, by a DP over masks in ascending order.
+
+    best[mask] either skips mask's lowest vertex ("skip low") or packs a
+    cycle p through it, the first p in ascending order that strictly
+    beats every earlier choice.  Only induced cycles are candidates, with
+    the same plans: if a cycle p has a chord, the chord closes a shorter
+    cycle, so a shortest cycle q of D[p] lies on a proper subset of p and
+    is induced.  If q avoids the lowest vertex, skip low already scores
+    at least 1 + best[mask ^ p]; otherwise q is a smaller candidate
+    through it, met earlier in the list with a score at least as high.
+    Either way the strict > never picks p.  An induced cycle has one
+    vertex order, so no path table is needed to list it.
+    """
     out_m, in_m = out_masks(D), in_masks(D)
     full = full_mask(D.n)
-    ends = _path_ends(D, out_m)
     by_low: dict[int, list[int]] = {}
-    for mask in range(1, full + 1):
-        anchor = mask & -mask
-        if mask != anchor and ends[mask] & in_m[anchor.bit_length()]:
-            by_low.setdefault(anchor, []).append(mask)
+    for mask in _induced_cycles(out_m, in_m, D.n):
+        by_low.setdefault(mask & -mask, []).append(mask)
     best = [0] * (full + 1)
     take = [0] * (full + 1)
     for mask in range(1, full + 1):
@@ -130,7 +147,7 @@ def _exact_cycle_packing(D: Digraph) -> list[tuple[int, ...]]:
     while mask:
         p = take[mask]
         if p:
-            cycles.append(_ham_cycle(in_m, ends, p))
+            cycles.append(_cycle_order(out_m, p))
             mask ^= p
         else:
             mask ^= mask & -mask
@@ -177,6 +194,15 @@ def _mutual_masks(D: Digraph) -> list[int]:
 
 
 def _exact_clique_partition(D: Digraph) -> list[list[int]]:
+    """Fewest cliques covering D, by a DP over masks in ascending order.
+
+    parts[mask] takes the clique p through mask's lowest vertex that
+    strictly beats every earlier choice, scanning candidates in
+    descending mask order.  A vertex outside mut[low] is not a mutual
+    neighbour of low, so no clique through low contains it: scanning the
+    submasks of mask & mut[low] meets the same cliques, in the same
+    order, as scanning those of the whole mask, and picks the same p.
+    """
     mut = _mutual_masks(D)
     full = full_mask(D.n)
     is_clique = bytearray(full + 1)
@@ -191,9 +217,9 @@ def _exact_clique_partition(D: Digraph) -> list[list[int]]:
     take = [0] * (full + 1)
     for mask in range(1, full + 1):
         low = mask & -mask
-        rest = mask ^ low
+        cand = mask & mut[low.bit_length()]
         b, t = None, 0
-        sub = rest
+        sub = cand
         while True:
             p = sub | low
             if is_clique[p]:
@@ -202,7 +228,7 @@ def _exact_clique_partition(D: Digraph) -> list[list[int]]:
                     b, t = c, p
             if sub == 0:
                 break
-            sub = (sub - 1) & rest
+            sub = (sub - 1) & cand
         parts[mask], take[mask] = b, t
     groups: list[list[int]] = []
     mask = full

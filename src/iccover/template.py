@@ -187,7 +187,14 @@ def template_arcs(T: IccTemplate) -> list[tuple[Coord, Coord]]:
 
 
 def canonical_labeling(T: IccTemplate) -> Labeling:
-    """Number coordinates 1..n in their canonical order."""
+    """Number coordinates 1..n in their canonical order.
+
+    Raises InvalidTemplate for an unsound template, whose coordinates
+    are not defined.
+    """
+    problems = validate_template(T)
+    if problems:
+        raise InvalidTemplate(problems)
     return {coord: idx for idx, coord in enumerate(T.coords(), start=1)}
 
 
@@ -197,9 +204,6 @@ def build_digraph(T: IccTemplate) -> tuple[Digraph, Labeling]:
     The returned digraph carries exactly the template's arcs; the labeling
     records which vertex realizes which coordinate.
     """
-    problems = validate_template(T)
-    if problems:
-        raise InvalidTemplate(problems)
     lab = canonical_labeling(T)
     arcs = [(lab[a], lab[b]) for a, b in template_arcs(T)]
     return new_digraph(T.n, arcs), lab

@@ -1,9 +1,12 @@
+import gc
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from iccover.cli import main
+from iccover.digraph import new_digraph, serialize_digraph
 
 DATA = Path(__file__).parent / "data"
 
@@ -99,6 +102,23 @@ def test_decode_rejects_side_width_mismatch(tdir, capsys):
     assert "packet length mismatch: 2 vs 1 bytes" in captured.err
 
 
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_template_with_too_few_paths_is_an_error(tdir, capsys, command):
+    bad = tdir / "bad.json"
+    bad.write_text('{"k":3,"typeI":[1]}\n')
+    code = tdir / "code.txt"
+    assert main(["encode", "--template", str(tdir / "t.json"), "--out", str(code)]) == 0
+    side = tdir / "side.txt"
+    side.write_text("t=8\n")
+    argv = [command, "--template", str(bad)]
+    if command == "decode":
+        argv += ["--code", str(code), "--receiver", "1", "--side", str(side)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected 3 main-path lengths, got 1\n"
+
+
 def test_verify_valid_and_invalid(tdir, capsys):
     code = tdir / "code.txt"
     main(["encode", "--template", str(tdir / "t.json"), "--out", str(code)])
@@ -149,6 +169,38 @@ def test_compare_exact_bound_env(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--digraph", str(dig)])
     assert exc.value.code == 2
+
+
+def test_parser_reuse_keeps_calls_apart(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ICC_EXACT_BOUND", raising=False)
+    dig = tmp_path / "g.json"
+    assert main(["gen-family", "--k", "4", "--out", str(dig)]) == 0
+    assert main(["compare", "--digraph", str(dig), "--exact-bound", "4"]) == 0
+    greedy_run = json.loads(capsys.readouterr().out)
+    assert main(["mais", "--digraph", str(DATA / "d2.json")]) == 0
+    assert capsys.readouterr().out == "3\n"
+    # the bound of the first compare must not carry over
+    assert main(["compare", "--digraph", str(dig)]) == 0
+    exact_run = json.loads(capsys.readouterr().out)
+    assert exact_run["l_icc"] == 5 and exact_run["optimal"]
+    assert greedy_run != exact_run
+
+
+def test_compare_leaves_no_cyclic_garbage(tmp_path, capsys):
+    rng = random.Random(12)
+    dense = new_digraph(12, [(u, v) for u in range(1, 13) for v in range(1, 13) if u != v and rng.random() < 0.4])
+    assert len(dense.arcs) == 57
+    (tmp_path / "dense.json").write_text(serialize_digraph(dense))
+    paths = [DATA / "d1.json", DATA / "d2.json", tmp_path / "dense.json"]
+    assert main(["compare", "--digraph", str(paths[0])]) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        for path in paths:
+            assert main(["compare", "--digraph", str(path)]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_missing_file_is_error(capsys):

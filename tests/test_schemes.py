@@ -1,13 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_packets
 from iccover.codec import TAG_UNCODED
-from iccover.digraph import full_mask, iter_mask_vertices, new_digraph, side_info
+from iccover.digraph import full_mask, in_masks, iter_mask_vertices, new_digraph, out_masks, side_info
 from iccover.errors import EmbeddingError, InvalidDigraph, SizeRefusal
 from iccover.oracles import mais, verify_code
 from iccover.schemes import (
+    _exact_clique_partition,
+    _exact_cycle_packing,
     _greedy_clique_partition,
     _mutual_masks,
     assemble_code,
@@ -210,3 +214,146 @@ def test_greedy_clique_partition_matches_reference():
             assert _greedy_clique_partition(D) == _reference_greedy_clique_partition(D), (n, p)
     for D in (new_digraph(0, []), new_digraph(3, []), gap_family(4)):
         assert _greedy_clique_partition(D) == _reference_greedy_clique_partition(D)
+
+
+# ---------- exact DPs against their first versions ----------
+
+
+def _reference_path_ends(D, out_m):
+    """ends[mask]: last vertices (as bits) of simple paths from mask's
+    smallest vertex that visit exactly mask."""
+    full = full_mask(D.n)
+    ends = [0] * (full + 1)
+    for v in range(1, D.n + 1):
+        ends[1 << (v - 1)] = 1 << (v - 1)
+    for mask in range(1, full + 1):
+        e = ends[mask]
+        if not e:
+            continue
+        anchor = mask & -mask
+        above = ~((anchor << 1) - 1)
+        for u in iter_mask_vertices(e):
+            grow = out_m[u] & ~mask & above
+            while grow:
+                w = grow & -grow
+                ends[mask | w] |= w
+                grow ^= w
+    return ends
+
+
+def _reference_ham_cycle(in_m, ends, mask):
+    anchor = mask & -mask
+    opts = ends[mask] & in_m[anchor.bit_length()]
+    w = (opts & -opts).bit_length()
+    seq = [w]
+    cur = mask & ~(1 << (w - 1))
+    while cur != anchor:
+        opts = ends[cur] & in_m[seq[0]]
+        u = (opts & -opts).bit_length()
+        seq.insert(0, u)
+        cur &= ~(1 << (u - 1))
+    seq.insert(0, anchor.bit_length())
+    return tuple(seq)
+
+
+def _reference_exact_cycle_packing(D):
+    """The cycle DP as first written: every vertex set with a spanning cycle is a candidate."""
+    out_m, in_m = out_masks(D), in_masks(D)
+    full = full_mask(D.n)
+    ends = _reference_path_ends(D, out_m)
+    by_low = {}
+    for mask in range(1, full + 1):
+        anchor = mask & -mask
+        if mask != anchor and ends[mask] & in_m[anchor.bit_length()]:
+            by_low.setdefault(anchor, []).append(mask)
+    best = [0] * (full + 1)
+    take = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        b, t = best[mask ^ low], 0
+        for p in by_low.get(low, ()):
+            if p & ~mask:
+                continue
+            c = 1 + best[mask ^ p]
+            if c > b:
+                b, t = c, p
+        best[mask], take[mask] = b, t
+    cycles = []
+    mask = full
+    while mask:
+        p = take[mask]
+        if p:
+            cycles.append(_reference_ham_cycle(in_m, ends, p))
+            mask ^= p
+        else:
+            mask ^= mask & -mask
+    return cycles
+
+
+def _reference_exact_clique_partition(D):
+    """The clique DP as first written: every submask of the rest is scanned."""
+    mut = _mutual_masks(D)
+    full = full_mask(D.n)
+    is_clique = bytearray(full + 1)
+    is_clique[0] = 1
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        rest = mask ^ low
+        if is_clique[rest] and (mut[low.bit_length()] & rest) == rest:
+            is_clique[mask] = 1
+    parts = [0] * (full + 1)
+    take = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        rest = mask ^ low
+        b, t = None, 0
+        sub = rest
+        while True:
+            p = sub | low
+            if is_clique[p]:
+                c = 1 + parts[mask ^ p]
+                if b is None or c < b:
+                    b, t = c, p
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        parts[mask], take[mask] = b, t
+    groups = []
+    mask = full
+    while mask:
+        p = take[mask]
+        groups.append(list(iter_mask_vertices(p)))
+        mask ^= p
+    return groups
+
+
+def random_digraph(rng, n, p):
+    return new_digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v and rng.random() < p])
+
+
+def assert_dps_match_reference(D):
+    assert _exact_cycle_packing(D) == _reference_exact_cycle_packing(D)
+    assert _exact_clique_partition(D) == _reference_exact_clique_partition(D)
+
+
+@st.composite
+def digraphs(draw, max_n=10):
+    n = draw(st.integers(0, max_n))
+    p = draw(st.floats(0.0, 1.0))
+    return random_digraph(draw(st.randoms(use_true_random=False)), n, p)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(digraphs())
+def test_exact_dps_match_reference(D):
+    assert_dps_match_reference(D)
+
+
+def test_exact_dps_match_reference_on_fixed_cases():
+    n = 12
+    assert_dps_match_reference(new_digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]))
+    for k in range(2, 7):
+        assert_dps_match_reference(gap_family(k))
+    D = random_digraph(random.Random(12), 12, 0.4)
+    assert len(D.arcs) == 57
+    assert_dps_match_reference(D)
