@@ -5,15 +5,17 @@ already holds message v, so the out-neighborhood of a vertex is exactly
 its side-information set.  Digraph values are immutable after
 construction and safe to share; every function in this module is pure.
 
-The bitmask helpers at the bottom (``out_masks``, ``shortest_cycle_mask``
-and friends) are the traversal workhorses used by the covering and
-oracle modules.  Vertex v corresponds to bit v-1.
+Each Digraph also carries its adjacency as bitmasks (``out_masks`` and
+``in_masks``, built once on first use), which the bitmask helpers at the
+bottom (``shortest_cycle_mask`` and friends) and the covering and oracle
+modules traverse.  Vertex v corresponds to bit v-1.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import FormatError, InvalidDigraph
@@ -31,13 +33,29 @@ class Digraph:
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.arcs
 
+    @cached_property
+    def out_masks(self) -> tuple[int, ...]:
+        """out_masks[u] has bit v-1 set iff (u,v) is an arc; index 0 unused."""
+        masks = [0] * (self.n + 1)
+        for u, v in self.arcs:
+            masks[u] |= 1 << (v - 1)
+        return tuple(masks)
+
+    @cached_property
+    def in_masks(self) -> tuple[int, ...]:
+        """in_masks[v] has bit u-1 set iff (u,v) is an arc; index 0 unused."""
+        masks = [0] * (self.n + 1)
+        for u, v in self.arcs:
+            masks[v] |= 1 << (u - 1)
+        return tuple(masks)
+
     def out_neighbors(self, u: int) -> set[int]:
         _check_vertex(self.n, u)
-        return {v for a, v in self.arcs if a == u}
+        return set(iter_mask_vertices(self.out_masks[u]))
 
     def in_neighbors(self, v: int) -> set[int]:
         _check_vertex(self.n, v)
-        return {u for u, b in self.arcs if b == v}
+        return set(iter_mask_vertices(self.in_masks[v]))
 
 
 @dataclass(frozen=True)
@@ -92,25 +110,32 @@ def enumerate_cycles(D: Digraph, max_count: int = DEFAULT_CYCLE_CAP) -> tuple[tu
     Returns (cycles, truncated).  When the full set fits under max_count the
     cycles come back sorted by (length, vertex tuple); a truncated listing
     keeps discovery order and sets the flag.
-    """
-    # imported here: networkx roughly doubles the package's resident memory,
-    # and only cycle listing needs it
-    import networkx as nx
 
-    g = nx.DiGraph()
-    g.add_nodes_from(range(1, D.n + 1))
-    g.add_edges_from(sorted(D.arcs))
+    Paths grow depth-first (highest successor first) from each cycle's
+    smallest vertex s through higher vertices that can reach s above it
+    (one backward search per start); each arc back to s closes a cycle, so
+    every cycle is found once, already rotated.
+    """
+    out_m, in_m = D.out_masks, D.in_masks
     found: list[Cycle] = []
-    truncated = False
-    for nodes in nx.simple_cycles(g):
-        if len(found) >= max_count:
-            truncated = True
-            break
-        pivot = nodes.index(min(nodes))
-        found.append(Cycle(tuple(nodes[pivot:]) + tuple(nodes[:pivot])))
-    if not truncated:
-        found.sort(key=lambda c: (len(c.vertices), c.vertices))
-    return tuple(found), truncated
+    for s in range(1, D.n + 1):
+        sbit = 1 << (s - 1)
+        live = _reach_mask(in_m, full_mask(D.n) & -sbit, sbit) ^ sbit
+        stack = [(s, sbit, (s,))]  # (last vertex, path mask, path)
+        while stack:
+            last, pmask, path = stack.pop()
+            if out_m[last] & sbit:
+                if len(found) >= max_count:
+                    return tuple(found), True
+                found.append(Cycle(path))
+            grow = out_m[last] & live & ~pmask
+            while grow:
+                b = grow & -grow
+                grow ^= b
+                w = b.bit_length()
+                stack.append((w, pmask | b, path + (w,)))
+    found.sort(key=lambda c: (len(c.vertices), c.vertices))
+    return tuple(found), False
 
 
 def induced_subdigraph(D: Digraph, vertices: Iterable[int]) -> tuple[Digraph, dict[int, int]]:
@@ -177,21 +202,6 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def out_masks(D: Digraph) -> list[int]:
-    """out_masks(D)[u] has bit v-1 set iff (u,v) is an arc; index 0 unused."""
-    masks = [0] * (D.n + 1)
-    for u, v in D.arcs:
-        masks[u] |= 1 << (v - 1)
-    return masks
-
-
-def in_masks(D: Digraph) -> list[int]:
-    masks = [0] * (D.n + 1)
-    for u, v in D.arcs:
-        masks[v] |= 1 << (u - 1)
-    return masks
-
-
 def iter_mask_vertices(mask: int) -> Iterator[int]:
     """Vertices of a bitmask in ascending order."""
     while mask:
@@ -200,7 +210,7 @@ def iter_mask_vertices(mask: int) -> Iterator[int]:
         yield b.bit_length()
 
 
-def is_acyclic_mask(in_m: list[int], mask: int) -> bool:
+def is_acyclic_mask(in_m: tuple[int, ...], mask: int) -> bool:
     """True iff the subgraph induced on the bitmask has no directed cycle."""
     remaining = mask
     while remaining:
@@ -217,7 +227,7 @@ def is_acyclic_mask(in_m: list[int], mask: int) -> bool:
     return True
 
 
-def shortest_cycle_mask(out_m: list[int], mask: int) -> tuple[int, ...] | None:
+def shortest_cycle_mask(out_m: tuple[int, ...], mask: int) -> tuple[int, ...] | None:
     """Deterministic shortest directed cycle inside the induced bitmask, or None.
 
     Tie rule: among the shortest cycles, the one whose start vertex s is
@@ -271,7 +281,7 @@ def shortest_cycle_mask(out_m: list[int], mask: int) -> tuple[int, ...] | None:
     return best
 
 
-def _lexmin_path(out_m: list[int], levels: list[int], u: int) -> tuple[int, ...]:
+def _lexmin_path(out_m: tuple[int, ...], levels: list[int], u: int) -> tuple[int, ...]:
     """Lexicographically smallest path levels[0] -> u through one vertex per BFS level.
 
     u lies in levels[-1].  Backward reachability marks, on each level, the
@@ -300,7 +310,7 @@ def _lexmin_path(out_m: list[int], levels: list[int], u: int) -> tuple[int, ...]
     return tuple(path)
 
 
-def _reach_mask(masks: list[int], mask: int, start_bit: int) -> int:
+def _reach_mask(masks: tuple[int, ...], mask: int, start_bit: int) -> int:
     seen = start_bit
     frontier = start_bit
     while frontier:
@@ -315,7 +325,7 @@ def _reach_mask(masks: list[int], mask: int, start_bit: int) -> int:
     return seen
 
 
-def strongly_connected_mask(out_m: list[int], in_m: list[int], mask: int) -> bool:
+def strongly_connected_mask(out_m: tuple[int, ...], in_m: tuple[int, ...], mask: int) -> bool:
     """True iff the subgraph induced on the bitmask is strongly connected (and nonempty)."""
     if mask == 0:
         return False

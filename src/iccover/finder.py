@@ -25,10 +25,8 @@ from .digraph import (
     Digraph,
     _reach_mask,
     full_mask,
-    in_masks,
     is_acyclic_mask,
     iter_mask_vertices,
-    out_masks,
     shortest_cycle_mask,
     strongly_connected_mask,
 )
@@ -36,6 +34,9 @@ from .errors import EmbeddingError, SizeRefusal
 from .template import IccTemplate, Labeling, check_embedding, cycle_to_template
 
 DEFAULT_EXACT_BOUND = 12
+# exact mode fills lists of 2^n entries, about 8 GB each at n = 30, so it
+# refuses larger digraphs whatever the bound
+EXACT_LIMIT = 20
 
 Piece = tuple[IccTemplate, Labeling]
 # internal: (k, template, labeling) for one spanning embedding
@@ -77,6 +78,70 @@ def make_plan(D: Digraph, pieces: list[Piece]) -> CoverPlan:
     return CoverPlan(tuple(ordered), uncovered)
 
 
+def exact_mode(D: Digraph, mode: str, exact_bound: int, what: str) -> bool:
+    """True for exact mode, False for greedy; exact mode refuses n > min(exact_bound, EXACT_LIMIT)."""
+    if mode == "exact":
+        limit, hint = (exact_bound, " or raise the bound") if exact_bound <= EXACT_LIMIT else (EXACT_LIMIT, "")
+        if D.n > limit:
+            raise SizeRefusal(f"exact {what} is limited to {limit} vertices (digraph has {D.n}); use greedy mode{hint}")
+        return True
+    if mode == "greedy":
+        return False
+    raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
+
+
+def pack_pieces(n: int, value: dict[int, int], new_piece=None) -> list[int]:
+    """Most valuable disjoint pieces, by a DP over vertex masks in ascending
+    order; returns the chosen pieces' masks.
+
+    value maps each candidate's vertex mask to what it saves.  best[mask]
+    either skips mask's lowest vertex ("skip low") or takes the first
+    candidate p through that vertex, in ascending order, that strictly
+    beats every earlier choice.  Proper submasks come first, so b, the best
+    split of mask into smaller pieces, is settled when new_piece(mask, b)
+    may add to value a piece on exactly mask worth more than b (it returns
+    that worth, or 0).  A piece worth no more than b never wins the strict
+    >, here or at a larger mask, where that split scores as much, earlier.
+
+    So candidates may leave out pieces the strict > never picks.  Cycles
+    need only induced ones: a chorded cycle p holds a shorter cycle, so a
+    shortest cycle q of D[p] lies on a proper subset of p and is induced.
+    If q avoids the lowest vertex, skip low already scores at least
+    1 + best[mask ^ p]; otherwise q is a smaller candidate through it, met
+    earlier with a score at least as high.
+    """
+    full = full_mask(n)
+    by_low: dict[int, list[int]] = {}
+    for p in sorted(value):
+        by_low.setdefault(p & -p, []).append(p)
+    best = [0] * (full + 1)
+    take = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        b, t = best[mask ^ low], 0
+        for p in by_low.get(low, ()):
+            if p & ~mask:
+                continue
+            c = value[p] + best[mask ^ p]
+            if c > b:
+                b, t = c, p
+        if new_piece is not None:
+            c = new_piece(mask, b)
+            if c:
+                value[mask] = c
+                by_low.setdefault(low, []).append(mask)
+                b, t = c, mask
+        best[mask], take[mask] = b, t
+    chosen: list[int] = []
+    mask = full
+    while mask:
+        p = take[mask]
+        if p:
+            chosen.append(p)
+        mask ^= p or mask & -mask  # the piece, or the skipped lowest vertex
+    return chosen
+
+
 def _labeling_mask(lab: Labeling) -> int:
     m = 0
     for v in lab.values():
@@ -103,7 +168,7 @@ class _EmbeddingSearch:
     cyclic garbage.
     """
 
-    def __init__(self, out_m: list[int], in_m: list[int]):
+    def __init__(self, out_m: tuple[int, ...], in_m: tuple[int, ...]):
         self.out_m = out_m
         self.in_m = in_m
         self.terms: tuple[int, ...] = ()
@@ -284,7 +349,7 @@ class _EmbeddingSearch:
         return None
 
 
-def _mais_table(in_m: list[int], n: int) -> list[int]:
+def _mais_table(in_m: tuple[int, ...], n: int) -> list[int]:
     """mais(S) for every vertex subset S of an n-vertex digraph, by bitmask.
 
     A source of the induced subgraph lies on no cycle, so it joins every
@@ -308,51 +373,27 @@ def _mais_table(in_m: list[int], n: int) -> list[int]:
 
 
 def _exact_cover(D: Digraph) -> list[Piece]:
-    out_m, in_m = out_masks(D), in_masks(D)
-    full = full_mask(D.n)
-    if is_acyclic_mask(in_m, full):
+    if is_acyclic_mask(D.in_masks, full_mask(D.n)):
         return []
-    mais_of = _mais_table(in_m, D.n)
-    search = _EmbeddingSearch(out_m, in_m)
+    mais_of = _mais_table(D.in_masks, D.n)
+    search = _EmbeddingSearch(D.out_masks, D.in_masks)
     emb: dict[int, Embedding] = {}
-    by_low: dict[int, list[int]] = {}
-    best = [0] * (full + 1)
-    take = [0] * (full + 1)
-    # ascending masks visit every proper submask first; a piece on the
-    # mask itself is kept only when it strictly beats the best partition
-    # into smaller pieces, so a piece left out is never the DP's choice
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        b, t = best[mask ^ low], 0
-        for p in by_low.get(low, ()):
-            if p & ~mask:
-                continue
-            c = emb[p][0] - 1 + best[mask ^ p]
-            if c > b:
-                b, t = c, p
-        bound = bin(mask).count("1") - mais_of[mask]
+
+    def new_piece(mask: int, b: int) -> int:
+        # a piece on S saves at most |S| - mais(S)
+        bound = mask.bit_count() - mais_of[mask]
         if bound > b:
             got = search.max_piece(mask, b + 2, bound + 1)
             if got is not None:
                 emb[mask] = got
-                by_low.setdefault(low, []).append(mask)
-                b, t = got[0] - 1, mask
-        best[mask], take[mask] = b, t
-    pieces: list[Piece] = []
-    mask = full
-    while mask:
-        p = take[mask]
-        if p:
-            _, T, lab = emb[p]
-            pieces.append((T, lab))
-            mask ^= p
-        else:
-            mask ^= mask & -mask
-    return pieces
+                return got[0] - 1
+        return 0
+
+    return [emb[p][1:] for p in pack_pieces(D.n, {}, new_piece)]
 
 
 def _greedy_cover(D: Digraph, merge_bound: int) -> list[Piece]:
-    out_m, in_m = out_masks(D), in_masks(D)
+    out_m, in_m = D.out_masks, D.in_masks
     pool = full_mask(D.n)
     found: list[Embedding] = []
     while True:
@@ -388,18 +429,8 @@ def find_icc_subgraphs(D: Digraph, mode: str = "exact", exact_bound: int = DEFAU
     """Best disjoint family of template embeddings found under the given mode.
 
     Exact mode maximizes total savings and refuses digraphs larger than
-    exact_bound vertices; greedy mode handles any size and reuses the
-    bound as its piece-merge size cap.  Both are deterministic.
+    min(exact_bound, EXACT_LIMIT) vertices; greedy mode handles any size
+    and reuses the bound as its piece-merge size cap.  Both are deterministic.
     """
-    if mode == "exact":
-        if D.n > exact_bound:
-            raise SizeRefusal(
-                f"exact subgraph search is limited to {exact_bound} vertices (digraph has {D.n}); "
-                "use greedy mode or raise the bound"
-            )
-        pieces = _exact_cover(D)
-    elif mode == "greedy":
-        pieces = _greedy_cover(D, exact_bound)
-    else:
-        raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
+    pieces = _exact_cover(D) if exact_mode(D, mode, exact_bound, "subgraph search") else _greedy_cover(D, exact_bound)
     return make_plan(D, pieces)

@@ -9,7 +9,6 @@ bound by brute force over induced subgraphs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .codec import IndexCode, code_length
@@ -18,9 +17,7 @@ from .digraph import (
     Digraph,
     enumerate_cycles,
     full_mask,
-    in_masks,
     is_acyclic_mask,
-    out_masks,
     shortest_cycle_mask,
 )
 from .errors import InvalidCode, SizeRefusal
@@ -147,7 +144,7 @@ class VerifyResult:
 def verify_code(D: Digraph, code: IndexCode) -> VerifyResult:
     """Rank-certify that every receiver can decode its message from the code."""
     rows = code_matrix(code, D.n).rows
-    side = out_masks(D)
+    side = D.out_masks
     # a list first, as in finder.make_plan: no free-list drift
     verdicts = tuple([_decodable(rows, side[i], i) for i in range(1, D.n + 1)])
     return VerifyResult(all(verdicts), verdicts)
@@ -162,7 +159,7 @@ def mais(D: Digraph, bound: int = DEFAULT_MAIS_BOUND) -> int:
     """
     if D.n > bound:
         raise SizeRefusal(f"exact acyclic-set search is limited to {bound} vertices (digraph has {D.n})")
-    out_m = out_masks(D)
+    out_m = D.out_masks
     full = full_mask(D.n)
     # greedy feasible start: delete the first vertex of each shortest cycle
     m, removed = full, 0
@@ -175,7 +172,7 @@ def mais(D: Digraph, bound: int = DEFAULT_MAIS_BOUND) -> int:
     return D.n - _min_cycle_cut(out_m, full, 0, removed)
 
 
-def _disjoint_cycles(out_m: list[int], mask: int) -> tuple[int, tuple[int, ...] | None]:
+def _disjoint_cycles(out_m: tuple[int, ...], mask: int) -> tuple[int, tuple[int, ...] | None]:
     """Greedily packed disjoint shortest cycles inside mask: count and first."""
     count, first = 0, None
     while True:
@@ -189,7 +186,7 @@ def _disjoint_cycles(out_m: list[int], mask: int) -> tuple[int, tuple[int, ...] 
             mask &= ~(1 << (v - 1))
 
 
-def _min_cycle_cut(out_m: list[int], mask: int, removed: int, best: int) -> int:
+def _min_cycle_cut(out_m: tuple[int, ...], mask: int, removed: int, best: int) -> int:
     """Fewest removals (already removed ones counted) leaving mask acyclic,
     or best when no cut beats it."""
     lb, first = _disjoint_cycles(out_m, mask)
@@ -206,7 +203,7 @@ def mais_exhaustive(D: Digraph, bound: int = EXHAUSTIVE_MAIS_BOUND) -> int:
     """Same value as mais, re-derived by scanning every vertex subset."""
     if D.n > bound:
         raise SizeRefusal(f"subset scan is limited to {bound} vertices (digraph has {D.n})")
-    in_m = in_masks(D)
+    in_m = D.in_masks
     best = 0
     for mask in range(full_mask(D.n) + 1):
         size = bin(mask).count("1")
@@ -236,17 +233,6 @@ class OptimalityReport:
     def rate(self) -> int | None:
         """Certified best rate (any packet width, and in the limit), or None."""
         return self.length if self.optimal else None
-
-    def to_json(self) -> str:
-        obj = {
-            "n": self.n,
-            "l_cyc": None,
-            "l_cc": None,
-            "l_icc": self.length,
-            "mais": self.mais_value,
-            "optimal": self.optimal,
-        }
-        return json.dumps(obj, separators=(",", ":"))
 
 
 def certify_optimality(T: IccTemplate, bound: int = DEFAULT_MAIS_BOUND) -> OptimalityReport:

@@ -18,14 +18,12 @@ from .digraph import (
     Cycle,
     Digraph,
     full_mask,
-    in_masks,
     iter_mask_vertices,
     new_digraph,
-    out_masks,
     shortest_cycle_mask,
 )
 from .errors import EmbeddingError, InvalidCode, InvalidDigraph, SizeRefusal
-from .finder import DEFAULT_EXACT_BOUND, CoverPlan, find_icc_subgraphs, make_plan
+from .finder import DEFAULT_EXACT_BOUND, CoverPlan, exact_mode, find_icc_subgraphs, make_plan, pack_pieces
 from .oracles import mais
 from .template import check_embedding, clique_to_template, cycle_to_template
 
@@ -59,15 +57,11 @@ def plan_length(D: Digraph, plan: CoverPlan) -> int:
     return D.n - plan.savings
 
 
-def _refuse(what: str, n: int, bound: int) -> SizeRefusal:
-    return SizeRefusal(f"exact {what} is limited to {bound} vertices (digraph has {n}); use greedy mode or raise the bound")
-
-
 # ---------- cycle packing ----------
 
 
-def _induced_cycles(out_m: list[int], in_m: list[int], n: int) -> list[int]:
-    """Vertex masks of every induced (chordless) cycle, in ascending order.
+def _induced_cycles(out_m: tuple[int, ...], in_m: tuple[int, ...], n: int) -> list[int]:
+    """Vertex masks of every induced (chordless) cycle.
 
     Paths grow from each cycle's smallest vertex s through higher
     vertices, each new vertex w entered from the last one and touching no
@@ -93,11 +87,10 @@ def _induced_cycles(out_m: list[int], in_m: list[int], n: int) -> list[int]:
                     masks.append(pmask | b)
                 else:
                     stack.append((w, pmask | b, avoid | out_last | in_m[w]))
-    masks.sort()
     return masks
 
 
-def _cycle_order(out_m: list[int], mask: int) -> tuple[int, ...]:
+def _cycle_order(out_m: tuple[int, ...], mask: int) -> tuple[int, ...]:
     """An induced cycle's vertices in arc order, smallest first: inside
     the cycle every vertex has exactly one out-neighbour."""
     first = mask & -mask
@@ -112,50 +105,16 @@ def _cycle_order(out_m: list[int], mask: int) -> tuple[int, ...]:
 
 
 def _exact_cycle_packing(D: Digraph) -> list[tuple[int, ...]]:
-    """Most vertex-disjoint cycles, by a DP over masks in ascending order.
-
-    best[mask] either skips mask's lowest vertex ("skip low") or packs a
-    cycle p through it, the first p in ascending order that strictly
-    beats every earlier choice.  Only induced cycles are candidates, with
-    the same plans: if a cycle p has a chord, the chord closes a shorter
-    cycle, so a shortest cycle q of D[p] lies on a proper subset of p and
-    is induced.  If q avoids the lowest vertex, skip low already scores
-    at least 1 + best[mask ^ p]; otherwise q is a smaller candidate
-    through it, met earlier in the list with a score at least as high.
-    Either way the strict > never picks p.  An induced cycle has one
-    vertex order, so no path table is needed to list it.
-    """
-    out_m, in_m = out_masks(D), in_masks(D)
-    full = full_mask(D.n)
-    by_low: dict[int, list[int]] = {}
-    for mask in _induced_cycles(out_m, in_m, D.n):
-        by_low.setdefault(mask & -mask, []).append(mask)
-    best = [0] * (full + 1)
-    take = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        b, t = best[mask ^ low], 0
-        for p in by_low.get(low, ()):
-            if p & ~mask:
-                continue
-            c = 1 + best[mask ^ p]
-            if c > b:
-                b, t = c, p
-        best[mask], take[mask] = b, t
-    cycles: list[tuple[int, ...]] = []
-    mask = full
-    while mask:
-        p = take[mask]
-        if p:
-            cycles.append(_cycle_order(out_m, p))
-            mask ^= p
-        else:
-            mask ^= mask & -mask
-    return cycles
+    """Most vertex-disjoint cycles, packed from the induced cycles by
+    pack_pieces (which argues why they suffice).  An induced cycle has one
+    vertex order, so no path table is needed to list it."""
+    out_m = D.out_masks
+    cycles = dict.fromkeys(_induced_cycles(out_m, D.in_masks, D.n), 1)
+    return [_cycle_order(out_m, p) for p in pack_pieces(D.n, cycles)]
 
 
 def _greedy_cycle_packing(D: Digraph) -> list[tuple[int, ...]]:
-    out_m = out_masks(D)
+    out_m = D.out_masks
     pool = full_mask(D.n)
     cycles: list[tuple[int, ...]] = []
     while True:
@@ -173,14 +132,7 @@ def cycle_cover(D: Digraph, mode: str = "exact", exact_bound: int = DEFAULT_EXAC
     Exact mode maximizes the number of disjoint cycles; greedy repeatedly
     removes a shortest cycle.
     """
-    if mode == "exact":
-        if D.n > exact_bound:
-            raise _refuse("cycle packing", D.n, exact_bound)
-        cycles = _exact_cycle_packing(D)
-    elif mode == "greedy":
-        cycles = _greedy_cycle_packing(D)
-    else:
-        raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
+    cycles = _exact_cycle_packing(D) if exact_mode(D, mode, exact_bound, "cycle packing") else _greedy_cycle_packing(D)
     pieces = [cycle_to_template(Cycle(c), (len(c) + 1) // 2) for c in cycles]
     return make_plan(D, pieces)
 
@@ -189,8 +141,7 @@ def cycle_cover(D: Digraph, mode: str = "exact", exact_bound: int = DEFAULT_EXAC
 
 
 def _mutual_masks(D: Digraph) -> list[int]:
-    out_m, in_m = out_masks(D), in_masks(D)
-    return [out_m[v] & in_m[v] if v else 0 for v in range(D.n + 1)]
+    return [o & i for o, i in zip(D.out_masks, D.in_masks)]
 
 
 def _exact_clique_partition(D: Digraph) -> list[list[int]]:
@@ -280,14 +231,7 @@ def clique_cover(D: Digraph, mode: str = "exact", exact_bound: int = DEFAULT_EXA
     minimizes the number of groups; greedy extracts maximal groups seeded
     by highest mutual degree.
     """
-    if mode == "exact":
-        if D.n > exact_bound:
-            raise _refuse("clique partition", D.n, exact_bound)
-        groups = _exact_clique_partition(D)
-    elif mode == "greedy":
-        groups = _greedy_clique_partition(D)
-    else:
-        raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
+    groups = _exact_clique_partition(D) if exact_mode(D, mode, exact_bound, "clique partition") else _greedy_clique_partition(D)
     pieces = [clique_to_template(D, g) for g in groups]
     return make_plan(D, pieces)
 

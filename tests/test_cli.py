@@ -203,6 +203,15 @@ def test_compare_leaves_no_cyclic_garbage(tmp_path, capsys):
         gc.enable()
 
 
+def test_compare_above_hard_exact_limit_exits_1(tmp_path, capsys):
+    dig = tmp_path / "ring21.json"
+    dig.write_text(serialize_digraph(new_digraph(21, [(v, v % 21 + 1) for v in range(1, 22)])))
+    assert main(["compare", "--digraph", str(dig), "--exact-bound", "64"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: exact cycle packing is limited to 20 vertices (digraph has 21)")
+
+
 def test_missing_file_is_error(capsys):
     assert main(["mais", "--digraph", "no-such-file.json"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from iccover.digraph import (
     Cycle,
+    Digraph,
     enumerate_cycles,
     full_mask,
-    in_masks,
     induced_subdigraph,
     is_acyclic_mask,
     iter_mask_vertices,
     new_digraph,
-    out_masks,
     parse_digraph,
     serialize_digraph,
     shortest_cycle_mask,
@@ -78,6 +77,10 @@ def test_enumerate_cycles_truncates():
     assert truncated and len(cycles) == 5
     full, truncated = enumerate_cycles(D)
     assert not truncated and len(full) == 20
+    # the boundary: all 20 fit under max_count=20, one fewer truncates
+    assert enumerate_cycles(D, max_count=20) == (full, False)
+    cut, truncated = enumerate_cycles(D, max_count=19)
+    assert truncated and len(cut) == 19 and set(cut) < set(full)
 
 
 def test_induced_subdigraph_relabels():
@@ -128,7 +131,7 @@ def test_mask_helpers_against_brute_force():
         n = rng.randint(1, 6)
         arcs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v and rng.random() < 0.4]
         D = new_digraph(n, arcs)
-        out_m, in_m = out_masks(D), in_masks(D)
+        out_m, in_m = D.out_masks, D.in_masks
         for mask in range(1, full_mask(n) + 1):
             verts = list(iter_mask_vertices(mask))
             assert verts == sorted(verts)
@@ -151,7 +154,7 @@ def test_mask_helpers_against_brute_force():
 
 def test_strongly_connected_mask():
     D = new_digraph(4, [(1, 2), (2, 1), (3, 4)])
-    out_m, in_m = out_masks(D), in_masks(D)
+    out_m, in_m = D.out_masks, D.in_masks
     assert strongly_connected_mask(out_m, in_m, 0b0011)
     assert not strongly_connected_mask(out_m, in_m, 0b1100)
     assert not strongly_connected_mask(out_m, in_m, 0b0111)
@@ -204,7 +207,7 @@ def digraphs_with_masks(draw, max_n=14):
 @given(digraphs_with_masks())
 def test_shortest_cycle_matches_reference(case):
     D, mask = case
-    out_m = out_masks(D)
+    out_m = D.out_masks
     assert shortest_cycle_mask(out_m, mask) == _reference_shortest_cycle(out_m, mask)
 
 
@@ -212,7 +215,7 @@ def test_shortest_cycle_matches_reference(case):
 def test_shortest_cycle_matches_reference_over_greedy_extraction(n):
     rng = random.Random(n)
     D = _random_digraph(rng, n, 6.0 / (n - 1))
-    out_m = out_masks(D)
+    out_m = D.out_masks
     pool = full_mask(n)
     steps = 0
     while True:
@@ -224,3 +227,57 @@ def test_shortest_cycle_matches_reference_over_greedy_extraction(n):
         for v in cyc:
             pool &= ~(1 << (v - 1))
     assert steps >= n // 10
+
+
+@st.composite
+def digraphs(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    return _random_digraph(draw(st.randoms(use_true_random=False)), n, draw(st.floats(0.0, 1.0)))
+
+
+def _reference_cycles(D):
+    """Every vertex sequence that starts at its smallest vertex and closes into a cycle."""
+    found = []
+    for size in range(2, D.n + 1):
+        for seq in itertools.permutations(range(1, D.n + 1), size):
+            if seq[0] == min(seq) and all(D.has_arc(a, b) for a, b in zip(seq, seq[1:] + seq[:1])):
+                found.append(seq)
+    return sorted(found, key=lambda c: (len(c), c))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(digraphs(max_n=6))
+def test_enumerate_cycles_matches_brute_force(D):
+    cycles, truncated = enumerate_cycles(D)
+    assert not truncated
+    assert [c.vertices for c in cycles] == _reference_cycles(D)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(digraphs(max_n=14))
+def test_masks_and_neighbors_match_arc_scan(D):
+    assert len(D.out_masks) == len(D.in_masks) == D.n + 1
+    assert D.out_masks[0] == D.in_masks[0] == 0
+    for v in range(1, D.n + 1):
+        outs = {b for a, b in D.arcs if a == v}
+        ins = {a for a, b in D.arcs if b == v}
+        assert D.out_masks[v] == sum(1 << (w - 1) for w in outs)
+        assert D.in_masks[v] == sum(1 << (u - 1) for u in ins)
+        assert D.out_neighbors(v) == side_info(D, v) == outs
+        assert D.in_neighbors(v) == ins
+    # the cached masks take no part in equality or hashing
+    fresh = Digraph(D.n, D.arcs)
+    assert D == fresh and hash(D) == hash(fresh)
+    assert fresh in {D} and D.out_masks is D.out_masks
+
+
+def test_masks_fixed_cases():
+    D = new_digraph(3, [(1, 2), (2, 3), (3, 1), (2, 1)])
+    assert D.out_masks == (0, 0b010, 0b101, 0b001)
+    assert D.in_masks == (0, 0b110, 0b001, 0b010)
+    assert new_digraph(0, []).out_masks == new_digraph(0, []).in_masks == (0,)
+    for bad in (0, 4, True):
+        with pytest.raises(InvalidDigraph):
+            D.out_neighbors(bad)
+        with pytest.raises(InvalidDigraph):
+            D.in_neighbors(bad)

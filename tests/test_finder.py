@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iccover.digraph import full_mask, in_masks, induced_subdigraph, iter_mask_vertices, new_digraph, out_masks
+from iccover.digraph import full_mask, induced_subdigraph, iter_mask_vertices, new_digraph
 from iccover.errors import EmbeddingError, SizeRefusal
 from iccover.finder import (
     DEFAULT_EXACT_BOUND,
@@ -140,7 +140,7 @@ def digraphs(draw, max_n=8):
 
 def unpruned_exact_plan(D):
     """Exact plan scoring every subset at its largest k, then packing."""
-    search = _EmbeddingSearch(out_masks(D), in_masks(D))
+    search = _EmbeddingSearch(D.out_masks, D.in_masks)
     full = full_mask(D.n)
     emb, by_low = {}, {}
     for mask in range(1, full + 1):
@@ -185,7 +185,7 @@ def test_mais_table_matches_exhaustive():
     rng = random.Random(11)
     for n, p in ((5, 0.5), (6, 0.3), (7, 0.35), (7, 0.6)):
         D = random_digraph(rng, n, p)
-        table = _mais_table(in_masks(D), n)
+        table = _mais_table(D.in_masks, n)
         for mask in range(full_mask(n) + 1):
             sub, _ = induced_subdigraph(D, iter_mask_vertices(mask))
             assert table[mask] == mais_exhaustive(sub), (n, p, mask)

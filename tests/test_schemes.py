@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import rand_packets
 from iccover.codec import TAG_UNCODED
-from iccover.digraph import full_mask, in_masks, iter_mask_vertices, new_digraph, out_masks, side_info
+from iccover.digraph import full_mask, iter_mask_vertices, new_digraph, side_info
 from iccover.errors import EmbeddingError, InvalidDigraph, SizeRefusal
 from iccover.oracles import mais, verify_code
 from iccover.schemes import (
@@ -160,6 +161,38 @@ def test_covers_refuse_oversized():
             planner(D)
 
 
+@pytest.mark.parametrize(
+    "planner,what",
+    [(cycle_cover, "cycle packing"), (clique_cover, "clique partition"), (icc_cover, "subgraph search")],
+)
+def test_refusal_texts(planner, what):
+    with pytest.raises(SizeRefusal) as exc:
+        planner(gap_family(8))
+    assert str(exc.value) == f"exact {what} is limited to 12 vertices (digraph has 16); use greedy mode or raise the bound"
+
+
+@pytest.mark.parametrize("run", [cycle_cover, clique_cover, icc_cover, compare])
+def test_exact_hard_limit_refuses_without_allocating(run):
+    # exact DPs fill lists of 2^n entries, so a bound above the hard
+    # limit must not let a 21-vertex digraph reach them
+    D = new_digraph(21, [(v, v % 21 + 1) for v in range(1, 22)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeRefusal) as exc:
+            run(D, exact_bound=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "limited to 20 vertices (digraph has 21)" in str(exc.value)
+
+
+def test_large_bound_below_hard_limit_keeps_working():
+    for D in (gap_family(3), gap_family(5)):
+        assert compare(D, exact_bound=64) == compare(D, exact_bound=D.n)
+        assert icc_cover(D, exact_bound=64) == icc_cover(D, exact_bound=D.n)
+
+
 def test_gap_family_structure():
     for k in range(2, 7):
         D = gap_family(k)
@@ -258,7 +291,7 @@ def _reference_ham_cycle(in_m, ends, mask):
 
 def _reference_exact_cycle_packing(D):
     """The cycle DP as first written: every vertex set with a spanning cycle is a candidate."""
-    out_m, in_m = out_masks(D), in_masks(D)
+    out_m, in_m = D.out_masks, D.in_masks
     full = full_mask(D.n)
     ends = _reference_path_ends(D, out_m)
     by_low = {}
