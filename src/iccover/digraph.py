@@ -8,12 +8,15 @@ construction and safe to share; every function in this module is pure.
 Each Digraph also carries its adjacency as bitmasks (``out_masks`` and
 ``in_masks``, built once on first use), which the bitmask helpers at the
 bottom (``shortest_cycle_mask`` and friends) and the covering and oracle
-modules traverse.  Vertex v corresponds to bit v-1.
+modules traverse.  Vertex v corresponds to bit v-1.  ``pack_cycles`` is
+the greedy planners' incremental form of repeated ``shortest_cycle_mask``
+calls, each found cycle deleted before the next.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -279,6 +282,62 @@ def shortest_cycle_mask(out_m: tuple[int, ...], mask: int) -> tuple[int, ...] | 
         if best_len == 2:
             break
     return best
+
+
+def pack_cycles(out_m: tuple[int, ...], mask: int) -> list[tuple[int, ...]]:
+    """The cycles, in order, that repeated shortest_cycle_mask calls give
+    when each cycle found is deleted from mask before the next call.
+
+    A sorted queue holds per start s an entry (length, s, cycle): the
+    smallest shortest cycle from s, or None and a lower bound on its
+    length (initially 2).  Deleting vertices never shortens a cycle, so a
+    popped cycle whose vertices all remain is what shortest_cycle_mask
+    returns; other popped starts are searched again in the pool, the BFS
+    capped at the first length in the queue.
+    """
+    # a sorted list, not heapq: random has loaded bisect already, heapq adds a module
+    queue = [(2, s, None) for s in iter_mask_vertices(mask)]
+    cycles: list[tuple[int, ...]] = []
+    pool = mask
+    while queue:
+        _, s, cyc = queue.pop(0)
+        sbit = 1 << (s - 1)
+        if not pool & sbit:
+            continue
+        if cyc is not None and all(pool >> (v - 1) & 1 for v in cyc):
+            cycles.append(cyc)
+            for v in cyc:
+                pool &= ~(1 << (v - 1))
+            continue
+        # with the queue empty no BFS from s has more than |mask| levels
+        got = _start_cycle(out_m, sbit, pool & -(sbit << 1), queue[0][0] if queue else mask.bit_count())
+        if got is not None:
+            insort(queue, (got[0], s, got[1]))
+    return cycles
+
+
+def _start_cycle(out_m: tuple[int, ...], sbit: int, above: int, cap: int) -> tuple[int, tuple[int, ...] | None] | None:
+    """(length, cycle) for s through above, by shortest_cycle_mask's tie
+    rule; (cap + 1, None) when longer than cap; None when there is none."""
+    levels = [sbit]
+    seen = frontier = sbit
+    while True:
+        nxt = 0
+        f = frontier
+        while f:
+            b = f & -f
+            f ^= b
+            arcs = out_m[b.bit_length()]
+            if arcs & sbit:
+                return len(levels), _lexmin_path(out_m, levels, b)
+            nxt |= arcs
+        frontier = nxt & above & ~seen
+        if not frontier:
+            return None
+        if len(levels) == cap:
+            return cap + 1, None
+        seen |= frontier
+        levels.append(frontier)
 
 
 def _lexmin_path(out_m: tuple[int, ...], levels: list[int], u: int) -> tuple[int, ...]:

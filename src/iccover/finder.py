@@ -9,7 +9,9 @@ are visited in ascending mask order, which settles the best partition b
 of S into smaller pieces first; S is searched for an embedding only when
 |S| - mais(S) > b, and then only for k in b + 2 .. |S| - mais(S) + 1.
 Greedy mode packs shortest cycles first (each a k = 2 piece) and then
-tries to merge pieces pairwise into higher-k templates.
+tries to merge pieces pairwise into higher-k templates, skipping pairs
+with arcs one way only between them: two disjoint such pieces have a
+union that is not strongly connected, where max_piece finds nothing.
 
 Host arcs beyond the template's own are allowed inside a piece; extra
 side information never hurts decodability.
@@ -18,7 +20,9 @@ side information never hurts decodability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from .digraph import (
     Cycle,
@@ -27,7 +31,8 @@ from .digraph import (
     full_mask,
     is_acyclic_mask,
     iter_mask_vertices,
-    shortest_cycle_mask,
+    pack_cycles,
+    shortest_cycle_mask,  # unused; iccbench/tracer.py wraps this binding
     strongly_connected_mask,
 )
 from .errors import EmbeddingError, SizeRefusal
@@ -140,13 +145,6 @@ def pack_pieces(n: int, value: dict[int, int], new_piece=None) -> list[int]:
             chosen.append(p)
         mask ^= p or mask & -mask  # the piece, or the skipped lowest vertex
     return chosen
-
-
-def _labeling_mask(lab: Labeling) -> int:
-    m = 0
-    for v in lab.values():
-        m |= 1 << (v - 1)
-    return m
 
 
 class _EmbeddingSearch:
@@ -394,30 +392,25 @@ def _exact_cover(D: Digraph) -> list[Piece]:
 
 def _greedy_cover(D: Digraph, merge_bound: int) -> list[Piece]:
     out_m, in_m = D.out_masks, D.in_masks
-    pool = full_mask(D.n)
-    found: list[Embedding] = []
-    while True:
-        cyc = shortest_cycle_mask(out_m, pool)
-        if cyc is None:
-            break
-        T, lab = cycle_to_template(Cycle(cyc), (len(cyc) + 1) // 2)
-        found.append((2, T, lab))
-        for v in cyc:
-            pool &= ~(1 << (v - 1))
+    cycles = pack_cycles(out_m, full_mask(D.n))
+    found: list[Embedding] = [(2, *cycle_to_template(Cycle(c), (len(c) + 1) // 2)) for c in cycles]
+    # each piece's vertex mask, and the union of its vertices' out-masks
+    verts = [sum(1 << (v - 1) for v in c) for c in cycles]
+    outs = [reduce(or_, [out_m[v] for v in c]) for c in cycles]
     search = _EmbeddingSearch(out_m, in_m)
     merged = True
     while merged:
         merged = False
         for a in range(len(found)):
             for b in range(a + 1, len(found)):
-                union = _labeling_mask(found[a][2]) | _labeling_mask(found[b][2])
-                if bin(union).count("1") > merge_bound:
+                union = verts[a] | verts[b]
+                if union.bit_count() > merge_bound or not (outs[a] & verts[b] and outs[b] & verts[a]):
                     continue
                 # a merge must save at least what the two pieces save apart
                 got = search.max_piece(union, found[a][0] + found[b][0])
                 if got is not None:
-                    found[a] = got
-                    del found[b]
+                    found[a], verts[a], outs[a] = got, union, outs[a] | outs[b]
+                    del found[b], verts[b], outs[b]
                     merged = True
                     break
             if merged:

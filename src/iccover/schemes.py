@@ -20,7 +20,8 @@ from .digraph import (
     full_mask,
     iter_mask_vertices,
     new_digraph,
-    shortest_cycle_mask,
+    pack_cycles,
+    shortest_cycle_mask,  # unused; iccbench/tracer.py wraps this binding
 )
 from .errors import EmbeddingError, InvalidCode, InvalidDigraph, SizeRefusal
 from .finder import DEFAULT_EXACT_BOUND, CoverPlan, exact_mode, find_icc_subgraphs, make_plan, pack_pieces
@@ -113,26 +114,13 @@ def _exact_cycle_packing(D: Digraph) -> list[tuple[int, ...]]:
     return [_cycle_order(out_m, p) for p in pack_pieces(D.n, cycles)]
 
 
-def _greedy_cycle_packing(D: Digraph) -> list[tuple[int, ...]]:
-    out_m = D.out_masks
-    pool = full_mask(D.n)
-    cycles: list[tuple[int, ...]] = []
-    while True:
-        cyc = shortest_cycle_mask(out_m, pool)
-        if cyc is None:
-            return cycles
-        cycles.append(cyc)
-        for v in cyc:
-            pool &= ~(1 << (v - 1))
-
-
 def cycle_cover(D: Digraph, mode: str = "exact", exact_bound: int = DEFAULT_EXACT_BOUND) -> CoverPlan:
     """Vertex-disjoint cycles, each cast as a k=2 piece (one saved symbol).
 
     Exact mode maximizes the number of disjoint cycles; greedy repeatedly
     removes a shortest cycle.
     """
-    cycles = _exact_cycle_packing(D) if exact_mode(D, mode, exact_bound, "cycle packing") else _greedy_cycle_packing(D)
+    cycles = _exact_cycle_packing(D) if exact_mode(D, mode, exact_bound, "cycle packing") else pack_cycles(D.out_masks, full_mask(D.n))
     pieces = [cycle_to_template(Cycle(c), (len(c) + 1) // 2) for c in cycles]
     return make_plan(D, pieces)
 

@@ -14,6 +14,7 @@ from iccover.digraph import (
     is_acyclic_mask,
     iter_mask_vertices,
     new_digraph,
+    pack_cycles,
     parse_digraph,
     serialize_digraph,
     shortest_cycle_mask,
@@ -227,6 +228,59 @@ def test_shortest_cycle_matches_reference_over_greedy_extraction(n):
         for v in cyc:
             pool &= ~(1 << (v - 1))
     assert steps >= n // 10
+
+
+def _reference_pack(out_m, mask):
+    """Repeated shortest_cycle_mask, deleting each cycle found: what pack_cycles must return."""
+    cycles = []
+    while True:
+        cyc = shortest_cycle_mask(out_m, mask)
+        if cyc is None:
+            return cycles
+        cycles.append(cyc)
+        for v in cyc:
+            mask &= ~(1 << (v - 1))
+
+
+@st.composite
+def dense_digraphs_with_masks(draw, max_n=16):
+    # a drawn seed, not st.randoms(): that draws each of the n^2 coin flips
+    n = draw(st.integers(0, max_n))
+    D = _random_digraph(random.Random(draw(st.integers(0, 2**32))), n, draw(st.floats(0.0, 1.0)))
+    return D, draw(st.integers(0, full_mask(n)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(dense_digraphs_with_masks())
+def test_pack_cycles_matches_repeated_shortest_cycle(case):
+    D, mask = case
+    assert pack_cycles(D.out_masks, mask) == _reference_pack(D.out_masks, mask)
+
+
+def test_pack_cycles_fixed_cases():
+    D = new_digraph(5, [(1, 4), (4, 1), (2, 3), (3, 2), (1, 2), (3, 5), (5, 1)])
+    out_m = D.out_masks
+    assert pack_cycles(out_m, 0) == []
+    assert pack_cycles(out_m, 0b00001) == []
+    # two 2-cycles tie on length: the smaller start comes first
+    assert pack_cycles(out_m, full_mask(5)) == [(1, 4), (2, 3)]
+    # without 4, the 2-cycle beats 1 -> 2 -> 3 -> 5 -> 1, and no cycle is left
+    assert pack_cycles(out_m, 0b10111) == [(2, 3)]
+    assert pack_cycles(new_digraph(1, []).out_masks, 1) == []
+    # 2 -> 5 -> 4 -> 3 -> 2 is found first (the search from 2 runs one level
+    # further), then 1 -> 5 -> 4 -> 6 -> 1 wins the tie and leaves it stale
+    D = new_digraph(6, [(2, 5), (5, 4), (4, 3), (3, 2), (1, 5), (4, 6), (6, 1)])
+    assert pack_cycles(D.out_masks, full_mask(6)) == [(1, 5, 4, 6)]
+
+
+@pytest.mark.parametrize("n", [60, 100, 160, 400])
+def test_pack_cycles_matches_reference_on_greedy_digraphs(n):
+    rng = random.Random(n)
+    for deg in (3.0, 6.0, 10.0):
+        D = _random_digraph(rng, n, deg / (n - 1))
+        cycles = pack_cycles(D.out_masks, full_mask(n))
+        assert cycles == _reference_pack(D.out_masks, full_mask(n))
+        assert len(cycles) >= n // 20
 
 
 @st.composite

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iccover.digraph import full_mask, induced_subdigraph, iter_mask_vertices, new_digraph
+from iccover.digraph import Cycle, full_mask, induced_subdigraph, iter_mask_vertices, new_digraph, shortest_cycle_mask
 from iccover.errors import EmbeddingError, SizeRefusal
 from iccover.finder import (
     DEFAULT_EXACT_BOUND,
@@ -15,7 +15,7 @@ from iccover.finder import (
 )
 from iccover.oracles import mais, mais_exhaustive, verify_code
 from iccover.schemes import assemble_code, gap_family, plan_length
-from iccover.template import build_digraph, check_embedding
+from iccover.template import build_digraph, check_embedding, cycle_to_template
 
 
 def assert_plan_shape(D, plan):
@@ -201,3 +201,89 @@ def test_dense_twelve_vertex_instance_is_certified_optimal():
     assert plan.savings == 5
     assert verify_code(D, assemble_code(D, plan))
     assert plan_length(D, plan) == 7 == mais(D)
+
+
+def reference_greedy_plan(D, merge_bound=DEFAULT_EXACT_BOUND):
+    """Greedy plan by repeated shortest_cycle_mask, then every pair of
+    pieces tried for a merge, with no prefilter."""
+    out_m = D.out_masks
+    pool = full_mask(D.n)
+    found = []
+    while True:
+        cyc = shortest_cycle_mask(out_m, pool)
+        if cyc is None:
+            break
+        found.append((2, *cycle_to_template(Cycle(cyc), (len(cyc) + 1) // 2)))
+        for v in cyc:
+            pool &= ~(1 << (v - 1))
+
+    def vmask(lab):
+        return sum(1 << (v - 1) for v in lab.values())
+
+    search = _EmbeddingSearch(out_m, D.in_masks)
+    merged = True
+    while merged:
+        merged = False
+        for a in range(len(found)):
+            for b in range(a + 1, len(found)):
+                union = vmask(found[a][2]) | vmask(found[b][2])
+                if bin(union).count("1") > merge_bound:
+                    continue
+                got = search.max_piece(union, found[a][0] + found[b][0])
+                if got is not None:
+                    found[a] = got
+                    del found[b]
+                    merged = True
+                    break
+            if merged:
+                break
+    return make_plan(D, [(T, lab) for _, T, lab in found])
+
+
+@st.composite
+def greedy_digraphs(draw, max_n=40):
+    n = draw(st.integers(0, max_n))
+    return random_digraph(random.Random(draw(st.integers(0, 2**32))), n, draw(st.floats(0.0, 1.0)) ** 2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(greedy_digraphs(), st.sampled_from([4, 8, DEFAULT_EXACT_BOUND]))
+def test_greedy_plan_matches_reference(D, bound):
+    assert repr(find_icc_subgraphs(D, "greedy", bound)) == repr(reference_greedy_plan(D, bound))
+
+
+@pytest.mark.parametrize("n", [100, 130, 160])
+def test_greedy_plan_matches_reference_at_scale(n):
+    D = random_digraph(random.Random(n), n, 7.5 / (n - 1))
+    assert repr(find_icc_subgraphs(D, "greedy")) == repr(reference_greedy_plan(D))
+
+
+def count_max_piece_calls(monkeypatch):
+    calls = []
+    real = _EmbeddingSearch.max_piece
+
+    def counted(self, mask, *args):
+        calls.append(mask)
+        return real(self, mask, *args)
+
+    monkeypatch.setattr(_EmbeddingSearch, "max_piece", counted)
+    return calls
+
+
+def test_greedy_skips_pieces_linked_one_way(monkeypatch):
+    # 2-cycles {1, 2} and {3, 4} with arcs 2 -> 3 and 1 -> 4 only
+    D = new_digraph(4, [(1, 2), (2, 1), (3, 4), (4, 3), (2, 3), (1, 4)])
+    calls = count_max_piece_calls(monkeypatch)
+    plan = find_icc_subgraphs(D, "greedy")
+    assert calls == []
+    assert [T.k for T, _ in plan.pieces] == [2, 2]
+
+
+def test_greedy_keeps_accepted_merges(monkeypatch):
+    # greedy packs two 4-cycles of gap_family(4), then merges them into a k = 4 piece
+    D = gap_family(4)
+    calls = count_max_piece_calls(monkeypatch)
+    plan = find_icc_subgraphs(D, "greedy")
+    assert calls == [full_mask(8)]
+    assert [T.k for T, _ in plan.pieces] == [4] and plan.uncovered == ()
+    assert repr(plan) == repr(reference_greedy_plan(D))

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iccover.codec import IndexCode, CodedSymbol, encode
 from iccover.digraph import new_digraph, side_info
@@ -232,3 +234,43 @@ def test_decodability_matches_rank_definition_on_greedy_codes(n, cover):
     assert assert_verdicts_match_definition(D, code)
     # without its first symbol some receiver must fail
     assert not assert_verdicts_match_definition(D, IndexCode(code.symbols[1:]))
+
+
+def reference_verdicts(D, code):
+    """Verdicts by elimination over every symbol of the code, per receiver."""
+    M = code_matrix(code, D.n)
+    return tuple(gf2_decodable(M, side_info(D, t), t) for t in range(1, D.n + 1))
+
+
+@st.composite
+def digraphs_with_codes(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = draw(st.floats(0.0, 1.0))
+    D = new_digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v and rng.random() < p])
+    supports = draw(st.lists(st.frozensets(st.integers(1, n), max_size=n), max_size=n + 2))
+    if supports:
+        # repeated symbols
+        supports += draw(st.lists(st.sampled_from(supports), max_size=3))
+    return D, IndexCode(tuple(CodedSymbol(s) for s in supports))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(digraphs_with_codes())
+def test_verify_code_matches_full_elimination(case):
+    D, code = case
+    res = verify_code(D, code)
+    assert res.verdicts == reference_verdicts(D, code)
+    assert res.valid == all(res.verdicts)
+
+
+@pytest.mark.parametrize("n", [100, 130, 160])
+@pytest.mark.parametrize("cover", [icc_cover, cycle_cover, clique_cover])
+def test_verify_code_matches_full_elimination_on_greedy_codes(n, cover):
+    rng = random.Random(n)
+    D = new_digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v and rng.random() < 7.0 / (n - 1)])
+    code = assemble_code(D, cover(D, "greedy"))
+    assert verify_code(D, code).verdicts == reference_verdicts(D, code)
+    assert all(reference_verdicts(D, code))
+    cut = IndexCode(code.symbols[1:])
+    assert verify_code(D, cut).verdicts == reference_verdicts(D, cut)
