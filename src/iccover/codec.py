@@ -15,12 +15,18 @@ its successor's packet out of one pair symbol; a main-path terminal
 folds the partial path sums of every other main path (and its connector
 symbols) into the combined parity, then cancels the leftovers with side
 packets it holds by construction.
+
+Every entry point calls ``validate_template``, which reads the verdict the
+immutable template keeps.  ``IndexCode`` and ``CodedSymbol`` are frozen and
+hold a tuple and frozensets, so a code's support index is built on its
+first decode and serves every later receiver.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     DecodeFailure,
@@ -30,7 +36,7 @@ from .errors import (
     MissingCodedSymbol,
     MissingSidePacket,
 )
-from .template import Coord, IccTemplate, Labeling, validate_template
+from .template import Coord, IccTemplate, Labeling, _coord_tuple, validate_template
 
 TAG_PATH_I = "path-I"
 TAG_PATH_II = "path-II"
@@ -125,6 +131,11 @@ class IndexCode:
     def length(self) -> int:
         return len(self.symbols)
 
+    @cached_property
+    def _by_support(self) -> dict[frozenset[int], CodedSymbol]:
+        """Symbol of each support, the last one winning; built on first use."""
+        return {s.support: s for s in self.symbols}
+
 
 def _layout(T: IccTemplate) -> list[tuple[tuple[Coord, ...], str]]:
     """Emission plan: path symbols by path then position, bridges by pair, parity last."""
@@ -152,9 +163,9 @@ def _require_valid(T: IccTemplate) -> None:
 
 def _checked_labeling(T: IccTemplate, labeling: Labeling) -> list[int]:
     """Message ids of T's coordinates in coords() order; complete and injective."""
-    coords = T.coords()
+    coords = _coord_tuple(T)
     try:
-        ids = [labeling[c] for c in coords]
+        ids = list(map(labeling.__getitem__, coords))
     except KeyError:
         missing = next(c for c in coords if c not in labeling)
         raise InvalidCode(f"labeling missing coordinate {missing}") from None
@@ -212,12 +223,14 @@ def decode_receiver(
     """
     _require_valid(T)
     _checked_labeling(T, labeling)
-    inverse = {m: c for c, m in labeling.items()}
-    coord = inverse.get(receiver)
+    # the last key holding the receiver's id, as inverting the labeling would give
+    ids = list(labeling.values())
+    ids.reverse()
+    coord = list(labeling)[~ids.index(receiver)] if receiver in ids else None
     if coord is None:
         raise DecodeFailure(f"receiver {receiver} is not covered by the labeling")
 
-    by_support: dict[frozenset[int], CodedSymbol] = {s.support: s for s in code.symbols}
+    by_support = code._by_support
 
     def fetch(*row: Coord) -> bytes:
         support = frozenset(labeling[c] for c in row)

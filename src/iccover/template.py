@@ -11,6 +11,11 @@ symbol decodable everywhere.
 Template coordinates name vertices structurally: ``(i, a)`` is position a
 of main path i, ``(i, j, a)`` is position a of the connector for the
 ordered pair (i, j).  A labeling maps coordinates to host vertex ids.
+
+An ``IccTemplate`` is immutable (``type_ii`` and ``attach`` are read-only
+views of private copies), so what is derived from it cannot go stale: its
+soundness verdict and coordinate tuple are each computed once, on first
+use.  A labeling is a dict the caller owns, so it is checked on every call.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ import json
 import random
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .digraph import Cycle, Digraph, new_digraph
 from .errors import EmbeddingError, FormatError, InvalidDigraph, InvalidTemplate
@@ -39,18 +45,26 @@ class IccTemplate:
     type_i[i-1] is the length of main path i (at least 1).  type_ii maps
     an ordered pair (i, j) to its connector length; missing pairs mean no
     connector.  attach maps (i, j) to the 1-based position on path j where
-    the pair's connection lands.
+    the pair's connection lands.  Both maps are stored read-only.
     """
 
     k: int
     type_i: tuple[int, ...]
-    type_ii: dict[tuple[int, int], int] = field(default_factory=dict)
-    attach: dict[tuple[int, int], int] = field(default_factory=dict)
+    type_ii: Mapping[tuple[int, int], int] = field(default_factory=dict)
+    attach: Mapping[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "type_i", tuple(self.type_i))
-        object.__setattr__(self, "type_ii", dict(self.type_ii))
-        object.__setattr__(self, "attach", dict(self.attach))
+        object.__setattr__(self, "type_ii", MappingProxyType(dict(self.type_ii)))
+        object.__setattr__(self, "attach", MappingProxyType(dict(self.attach)))
+        # filled on first use; plain attributes, not cached_property, which
+        # makes CPython 3.11 build the instance __dict__ and slows every read
+        object.__setattr__(self, "_sound", None)
+        object.__setattr__(self, "_coords", None)
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled; rebuild from plain dicts
+        return type(self), (self.k, self.type_i, dict(self.type_ii), dict(self.attach))
 
     @property
     def n(self) -> int:
@@ -74,20 +88,27 @@ class IccTemplate:
         return (i, self.n_i(i))
 
     def coords(self) -> list[Coord]:
-        """All vertex coordinates: main paths by index, then connectors by pair.
+        """All vertex coordinates: main paths by index, then connectors by pair."""
+        return list(_coord_tuple(self))
 
-        Only nonzero connectors are walked: keys that are not one of pairs()
-        contribute nothing, and sorting the rest gives the pairs() order.
-        """
-        span = range(1, self.k + 1)
-        out: list[Coord] = [(i, a) for i in span for a in range(1, self.type_i[i - 1] + 1)]
+
+def _coord_tuple(T: IccTemplate) -> tuple[Coord, ...]:
+    """T.coords() as a tuple, computed on the first call.
+
+    Only nonzero connectors are walked: keys that are not one of pairs()
+    contribute nothing, and sorting the rest gives the pairs() order.
+    """
+    if T._coords is None:
+        span = range(1, T.k + 1)
+        out: list[Coord] = [(i, a) for i in span for a in range(1, T.type_i[i - 1] + 1)]
         linked = sorted(
             (p, ln)
-            for p, ln in self.type_ii.items()
+            for p, ln in T.type_ii.items()
             if ln and isinstance(p, tuple) and len(p) == 2 and p[0] in span and p[1] in span and p[0] != p[1]
         )
         out += [(i, j, a) for (i, j), ln in linked for a in range(1, ln + 1)]
-        return out
+        object.__setattr__(T, "_coords", tuple(out))
+    return T._coords
 
 
 def validate_template(T: IccTemplate) -> list[str]:
@@ -98,11 +119,13 @@ def validate_template(T: IccTemplate) -> list[str]:
     that it has an incoming arc in the built digraph.  A single-path
     template (k = 1) has no pairs and is exempt from those checks.
 
-    Sound templates are confirmed by set comparisons of the key views and
-    one range check per attachment; anything else goes through the full
-    routine, which lists every problem in a fixed order.
+    Soundness is confirmed once per template, by set comparisons of the
+    key views and one range check per attachment; anything else goes
+    through the full routine, which lists every problem in a fixed order.
     """
-    if _is_sound(T):
+    if T._sound is None:
+        object.__setattr__(T, "_sound", _is_sound(T))
+    if T._sound:
         return []
     return _template_problems(T)
 
@@ -195,7 +218,7 @@ def canonical_labeling(T: IccTemplate) -> Labeling:
     problems = validate_template(T)
     if problems:
         raise InvalidTemplate(problems)
-    return {coord: idx for idx, coord in enumerate(T.coords(), start=1)}
+    return {coord: idx for idx, coord in enumerate(_coord_tuple(T), start=1)}
 
 
 def build_digraph(T: IccTemplate) -> tuple[Digraph, Labeling]:
@@ -218,9 +241,8 @@ def check_embedding(D: Digraph, T: IccTemplate, labeling: Labeling) -> bool:
     problems = validate_template(T)
     if problems:
         raise InvalidTemplate(problems)
-    coords = T.coords()
     try:
-        ids = [labeling[c] for c in coords]
+        ids = list(map(labeling.__getitem__, _coord_tuple(T)))
     except KeyError:
         return False
     if len(set(ids)) != len(ids):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_packets
+from iccover import codec
 from iccover.codec import (
     TAG_BRIDGE,
     TAG_PATH_I,
@@ -37,7 +39,7 @@ from iccover.errors import (
     MissingCodedSymbol,
     MissingSidePacket,
 )
-from iccover.template import IccTemplate, build_digraph, random_template
+from iccover.template import IccTemplate, build_digraph, random_template, template_arcs, validate_template
 
 
 def test_packet_vector_validation():
@@ -306,3 +308,184 @@ def test_int_xor_matches_byte_reference(k, max_path_len, density, seed, t):
     for v in range(1, D.n + 1):
         side = {m: pv.packet(m) for m in side_info(D, v)}
         assert decode_receiver(T, lab, code, v, side) == pv.packet(v)
+
+
+# ---------- differential checks against the codec before its caches ----------
+
+
+def _reference_labeling_ids(T, labeling):
+    problems = validate_template(T)
+    if problems:
+        raise InvalidTemplate(problems)
+    coords = T.coords()
+    try:
+        ids = [labeling[c] for c in coords]
+    except KeyError:
+        missing = next(c for c in coords if c not in labeling)
+        raise InvalidCode(f"labeling missing coordinate {missing}") from None
+    if len(set(ids)) != len(ids):
+        raise InvalidCode("labeling is not injective")
+    return ids
+
+
+def _reference_encode(T, labeling, packets=None):
+    ids = _reference_labeling_ids(T, labeling)
+    if packets is not None:
+        for m in ids:
+            if not 1 <= m <= len(packets.packets):
+                raise InvalidCode(f"message id {m} outside packet vector of size {len(packets.packets)}")
+    ops = 0
+    symbols = []
+    for row, tag in codec._layout(T):
+        row_ids = [labeling[c] for c in row]
+        payload = None
+        if packets is not None:
+            payload = codec._xor_all([packets.packets[m - 1] for m in row_ids])
+            ops += (len(row) - 1) * packets.t
+        symbols.append(CodedSymbol(frozenset(row_ids), payload, tag))
+    return IndexCode(tuple(symbols), xor_bit_ops=ops if packets is not None else None)
+
+
+def _reference_decode(T, labeling, code, receiver, side_packets):
+    """decode_receiver inverting the labeling and indexing the code on every call."""
+    _reference_labeling_ids(T, labeling)
+    inverse = {m: c for c, m in labeling.items()}
+    coord = inverse.get(receiver)
+    if coord is None:
+        raise DecodeFailure(f"receiver {receiver} is not covered by the labeling")
+    by_support = {s.support: s for s in code.symbols}
+
+    def fetch(*row):
+        support = frozenset(labeling[c] for c in row)
+        sym = by_support.get(support)
+        if sym is None:
+            raise MissingCodedSymbol(support)
+        if sym.payload is None:
+            ids = "+".join(f"x{i}" for i in sorted(support))
+            raise DecodeFailure(f"coded symbol {ids} carries no payload")
+        return sym.payload
+
+    def side(message_id):
+        if message_id not in side_packets:
+            raise MissingSidePacket(message_id)
+        return side_packets[message_id]
+
+    if len(coord) == 2:
+        i, a = coord
+        if a < T.n_i(i):
+            return codec._xor_all((fetch((i, a), (i, a + 1)), side(labeling[(i, a + 1)])))
+
+        def parity_operands():
+            yield fetch(*(T.terminal(h) for h in range(1, T.k + 1)))
+            for h in range(1, T.k + 1):
+                if h == i:
+                    continue
+                q = T.q(i, h)
+                for b in range(q, T.n_i(h)):
+                    yield fetch((h, b), (h, b + 1))
+                nih = T.n_ij(i, h)
+                if nih == 0:
+                    yield side(labeling[(h, q)])
+                else:
+                    for b in range(1, nih):
+                        yield fetch((i, h, b), (i, h, b + 1))
+                    yield fetch((i, h, nih), (h, q))
+                    yield side(labeling[(i, h, 1)])
+
+        return codec._xor_all(parity_operands())
+    i, j, a = coord
+    nij = T.n_ij(i, j)
+    if a < nij:
+        return codec._xor_all((fetch((i, j, a), (i, j, a + 1)), side(labeling[(i, j, a + 1)])))
+    return codec._xor_all((fetch((i, j, nij), (j, T.q(i, j))), side(labeling[(j, T.q(i, j))])))
+
+
+def _outcome(fn, *args):
+    """The value a call returns, or the class and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # every failure is compared, not handled
+        return type(exc), str(exc)
+
+
+def _encoded(outcome):
+    # IndexCode equality leaves xor_bit_ops out
+    return outcome if isinstance(outcome, tuple) else (outcome.symbols, outcome.xor_bit_ops)
+
+
+# keys that are not coordinates of any template drawn below
+FOREIGN_KEYS = [(9, 1), (1, 9), (1, 2, 9), (2, 1, 1), (1, 1, 1), None, "x"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 5),
+    max_path_len=st.integers(1, 3),
+    density=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_codec_matches_reference(k, max_path_len, density, seed, data):
+    """Same bytes, or the same exception class and message, for templates
+    (one in ten unsound), labelings with foreign keys, a missing key or a
+    repeated id, codes with a duplicated, dropped or payload-free symbol,
+    and every receiver id, covered or not, with one side packet withheld."""
+    rng = random.Random(seed)
+    T = random_template(k, max_path_len, density, seed)
+    if k >= 2 and data.draw(st.integers(0, 9)) == 0:
+        T = replace(T, attach={**T.attach, (2, 1): 0})
+    coords = T.coords() if validate_template(T) == [] else []
+    ids = list(range(1, len(coords) + 1))
+    rng.shuffle(ids)
+    labeling = dict(zip(coords, ids))
+    top = len(ids) + 2
+    pv = rand_packets(data.draw(st.integers(1, 20)), top, rng)
+    code = _reference_encode(T, labeling, pv) if coords else IndexCode(())
+
+    for _ in range(data.draw(st.integers(0, 2))):
+        labeling[data.draw(st.sampled_from(FOREIGN_KEYS))] = data.draw(st.integers(1, top))  # may repeat an id
+    defect = data.draw(st.sampled_from([None, None, "missing", "repeated"]))
+    if labeling and defect == "missing":
+        del labeling[data.draw(st.sampled_from(sorted(labeling, key=repr)))]
+    elif coords and defect == "repeated":
+        labeling[data.draw(st.sampled_from(coords))] = labeling[data.draw(st.sampled_from(coords))]
+    for packets in (None, pv):
+        assert _encoded(_outcome(encode, T, labeling, packets)) == _encoded(
+            _outcome(_reference_encode, T, labeling, packets)
+        )
+
+    symbols = list(code.symbols)
+    code_defect = data.draw(st.sampled_from([None, "duplicated", "dropped", "hollow"]))
+    if symbols and code_defect:
+        i = data.draw(st.integers(0, len(symbols) - 1))
+        s = symbols[i]
+        if code_defect == "duplicated":  # a zeroed copy, before or after: the last one wins
+            symbols.insert(data.draw(st.integers(0, len(symbols))), CodedSymbol(s.support, bytes(len(s.payload))))
+        elif code_defect == "dropped":
+            del symbols[i]
+        else:
+            symbols[i] = CodedSymbol(s.support, None, s.tag)
+    code = IndexCode(tuple(symbols))
+    withheld = data.draw(st.integers(0, top))
+    for _ in range(2):  # the second pass reads the code's cached support index
+        for v in range(0, top + 1):
+            side = {m: pv.packet(m) for m in range(1, top + 1) if m not in (v, withheld)}
+            assert _outcome(decode_receiver, T, labeling, code, v, side) == _outcome(
+                _reference_decode, T, labeling, code, v, side
+            )
+
+
+def test_every_call_validates_through_the_codec_binding(d1_template, monkeypatch):
+    """Each entry point looks validate_template up in codec on every call,
+    so a wrapper on that name counts every call."""
+    T, lab = d1_template
+    calls = []
+    monkeypatch.setattr(codec, "validate_template", lambda t: calls.append(t) or validate_template(t))
+    pv = rand_packets(8, T.n)
+    code = encode(T, lab, pv)
+    for _ in range(2):
+        for coord, v in lab.items():
+            side = {lab[b]: pv.packet(lab[b]) for a, b in template_arcs(T) if a == coord}
+            assert decode_receiver(T, lab, code, v, side) == pv.packet(v)
+    assert code_length(T) == 4 and xor_op_count(T, 8) == 40
+    assert len(calls) == 1 + 2 * len(lab) + 2 and all(t is T for t in calls)

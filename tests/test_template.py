@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -283,14 +287,18 @@ def rough_templates(draw):
             # a key equal to a pair but holding floats
             p = draw(st.sampled_from(pairs))
             store = type_ii if p in type_ii and draw(st.booleans()) else attach
-            store[(float(p[0]), float(p[1]))] = store.pop(p)
+            if p in store:  # an earlier defect may have dropped the attachment
+                store[(float(p[0]), float(p[1]))] = store.pop(p)
     return IccTemplate(k, tuple(type_i), type_ii, attach)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(rough_templates())
 def test_validate_template_matches_reference(T):
-    assert validate_template(T) == _reference_validate_template(T)
+    expected = _reference_validate_template(T)
+    # the second call reads the verdict the first one cached
+    assert validate_template(T) == expected
+    assert validate_template(T) == expected
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -301,6 +309,7 @@ def test_coords_match_reference(T):
     except (TypeError, IndexError):
         return  # the full walk raised on a malformed template; no order to compare
     assert T.coords() == expected
+    assert T.coords() == expected  # from the cached tuple
 
 
 def test_rough_templates_cover_sound_and_unsound():
@@ -319,3 +328,70 @@ def test_validate_accepts_float_keys_equal_to_pairs():
     T = IccTemplate(2, (1, 1), {(1.0, 2.0): 1}, {(1, 2): 1, (2.0, 1.0): 1})
     assert validate_template(T) == _reference_validate_template(T) == []
     assert T.coords() == _reference_coords(T) == [(1, 1), (2, 1), (1, 2, 1)]
+
+
+# ---------- immutability: each verdict is computed once per value ----------
+
+
+def test_template_maps_are_read_only():
+    T = IccTemplate(2, (2, 1), {(1, 2): 1}, {(1, 2): 1, (2, 1): 1})
+    for view in (T.attach, T.type_ii):
+        with pytest.raises(TypeError):
+            view[(1, 2)] = 2
+        with pytest.raises(TypeError):
+            del view[(1, 2)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        T.attach = {}
+    assert T == GOOD and validate_template(T) == []
+
+
+@pytest.mark.parametrize("read_first", [True, False], ids=["cached", "fresh"])
+def test_constructor_dicts_are_copied(read_first):
+    type_ii, attach = {(1, 2): 1}, {(1, 2): 1, (2, 1): 1}
+    T = IccTemplate(2, [2, 1], type_ii, attach)
+    if read_first:
+        assert validate_template(T) == [] and T.coords() == [(1, 1), (1, 2), (2, 1), (1, 2, 1)]
+    type_ii[(1, 2)] = 3
+    type_ii[(2, 1)] = 1
+    attach[(1, 2)] = 9
+    del attach[(2, 1)]
+    assert T == GOOD
+    assert validate_template(T) == []
+    assert T.coords() == [(1, 1), (1, 2), (2, 1), (1, 2, 1)]
+    coords = T.coords()
+    coords.append((3, 1))  # a caller's list, not the cache
+    assert len(T.coords()) == 4
+
+
+def test_replace_gets_its_own_verdict():
+    assert validate_template(GOOD) == []
+    broken = dataclasses.replace(GOOD, attach={(1, 2): 2, (2, 1): 1})
+    assert validate_template(broken) == _reference_validate_template(broken) != []
+    mended = dataclasses.replace(broken, attach={(1, 2): 1, (2, 1): 1})
+    assert validate_template(mended) == [] and mended == GOOD
+    longer = dataclasses.replace(GOOD, type_i=(3, 1))
+    assert longer.coords() == _reference_coords(longer) != GOOD.coords()
+    assert validate_template(GOOD) == []
+
+
+BROKEN = IccTemplate(2, (1, 1), {(1, 1): 1}, {(1, 2): 1})
+
+
+@pytest.mark.parametrize("T", [GOOD, BROKEN, random_template(5, 3, 0.5, seed=3)], ids=["good", "broken", "random"])
+@pytest.mark.parametrize("read_first", [True, False], ids=["cached", "fresh"])
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda T: pickle.loads(pickle.dumps(T))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copy_and_pickle_round_trip(T, read_first, clone):
+    T = dataclasses.replace(T)  # a new value, with nothing computed yet
+    if read_first:
+        validate_template(T), T.coords()
+    U = clone(T)
+    assert U == T and type(U) is IccTemplate
+    assert validate_template(U) == validate_template(T)
+    assert U._sound == T._sound == (validate_template(T) == [])
+    assert U.coords() == T.coords()
+    with pytest.raises(TypeError):
+        U.attach[(1, 2)] = 1
