@@ -14,7 +14,7 @@ import sys
 
 from .codec import decode_receiver, encode, parse_code, parse_packets, parse_side, serialize_code
 from .digraph import parse_digraph, serialize_digraph
-from .errors import IccoverError
+from .errors import FormatError, IccoverError
 from .finder import DEFAULT_EXACT_BOUND
 from .oracles import mais, verify_code
 from .schemes import compare, gap_family, serialize_report
@@ -23,7 +23,10 @@ from .template import build_digraph, canonical_labeling, parse_template, random_
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: not UTF-8 text") from None
 
 
 def _emit(text: str, out: str | None) -> None:

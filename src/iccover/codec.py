@@ -4,29 +4,31 @@ The code for a template has one pair symbol per consecutive path edge,
 one bridge symbol per nonempty connector, and a single combined parity
 of all main-path terminals, for n - k + 1 symbols total.  Packets are
 t-bit strings packed little-endian into ceil(t/8) bytes with zero
-padding bits.  The XOR itself runs on Python ints: every operand is read
-once with ``int.from_bytes(p, "little")``, the operands of one symbol or
-one receiver are folded with ``^``, and the result is written back once
-with ``to_bytes(width, "little")``.  Byte i of a packet is bits 8i..8i+7
-of its int, so the padding bits stay the top bits and stay zero.
+padding bits.  The XOR runs on Python ints: byte i of a packet is bits
+8i..8i+7 of ``int.from_bytes(p, "little")``, so the padding bits stay
+the top bits and stay zero.
 
-``decode_receiver`` follows the structural chains: a path vertex cancels
-its successor's packet out of one pair symbol; a main-path terminal
-folds the partial path sums of every other main path (and its connector
-symbols) into the combined parity, then cancels the leftovers with side
-packets it holds by construction.
-
-Every entry point calls ``validate_template``, which reads the verdict the
-immutable template keeps.  ``IndexCode`` and ``CodedSymbol`` are frozen and
-hold a tuple and frozensets, so a code's support index is built on its
-first decode and serves every later receiver.
+Each immutable template compiles its codec work once, as coordinate
+positions: its emission rows (read off its arc list) and the decoding
+chain of each coordinate (``_walk``: a path vertex cancels its
+successor's packet out of one pair symbol; a main-path terminal folds
+every other main path into the combined parity, then cancels the
+leftovers with side packets it holds by construction).  ``encode`` calls
+``from_bytes`` once per packet of the piece and ``to_bytes`` once per
+symbol.  ``decode_receiver`` reads a payload's int from the code, which
+converts each payload once, on its first fetch, and calls ``to_bytes``
+once per receiver.  Every entry point calls ``validate_template``, which
+reads the verdict the immutable template keeps; a labeling is the
+caller's dict, so it is checked on every call.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import accumulate
+from operator import xor
 
 from .errors import (
     DecodeFailure,
@@ -36,7 +38,7 @@ from .errors import (
     MissingCodedSymbol,
     MissingSidePacket,
 )
-from .template import Coord, IccTemplate, Labeling, _coord_tuple, validate_template
+from .template import Coord, IccTemplate, Labeling, _arc_index, _coord_tuple, validate_template
 
 TAG_PATH_I = "path-I"
 TAG_PATH_II = "path-II"
@@ -136,23 +138,33 @@ class IndexCode:
         """Symbol of each support, the last one winning; built on first use."""
         return {s.support: s for s in self.symbols}
 
+    @cached_property
+    def _ints(self) -> dict[frozenset[int], tuple[int, int]]:
+        """Payload int and byte width of each support a decoder has fetched."""
+        return {}
+
+
+def _compiled(T: IccTemplate) -> tuple[list[tuple[tuple[int, ...], str]], int, dict]:
+    """T's rows as coordinate positions, their XOR count, and its decoding
+    chains, set on first use.  The pair symbols are T's arcs that leave no
+    main-path terminal, in arc order; the terminals' parity comes last."""
+    if T._codec is None:
+        ends = list(accumulate(T.type_i))
+        main, terminals = ends[-1], {e - 1 for e in ends}
+        rows = [
+            (arc, TAG_PATH_I if arc[0] < main else TAG_BRIDGE if arc[1] < main else TAG_PATH_II)
+            for arc in _arc_index(T)
+            if arc[0] not in terminals
+        ]
+        rows.append((tuple([e - 1 for e in ends]), TAG_SUM))
+        object.__setattr__(T, "_codec", (rows, sum(len(row) - 1 for row, _ in rows), {}))
+    return T._codec
+
 
 def _layout(T: IccTemplate) -> list[tuple[tuple[Coord, ...], str]]:
-    """Emission plan: path symbols by path then position, bridges by pair, parity last."""
-    rows: list[tuple[tuple[Coord, ...], str]] = []
-    for i in range(1, T.k + 1):
-        for a in range(1, T.n_i(i)):
-            rows.append((((i, a), (i, a + 1)), TAG_PATH_I))
-    for (i, j) in T.pairs():
-        for a in range(1, T.n_ij(i, j)):
-            rows.append((((i, j, a), (i, j, a + 1)), TAG_PATH_II))
-    for (i, j) in T.pairs():
-        nij = T.n_ij(i, j)
-        if nij >= 1:
-            rows.append((((i, j, nij), (j, T.q(i, j))), TAG_BRIDGE))
-    # a list first, as in finder.make_plan: no free-list drift
-    rows.append((tuple([(i, T.n_i(i)) for i in range(1, T.k + 1)]), TAG_SUM))
-    return rows
+    """The rows in coordinate form: path symbols by path then position, bridges by pair, parity last."""
+    coords = _coord_tuple(T)
+    return [(tuple([coords[p] for p in row]), tag) for row, tag in _compiled(T)[0]]
 
 
 def _require_valid(T: IccTemplate) -> None:
@@ -178,20 +190,22 @@ def encode(T: IccTemplate, labeling: Labeling, packets: PacketVector | None = No
     """Produce the template's index code; payloads are filled when packets are given."""
     _require_valid(T)
     ids = _checked_labeling(T, labeling)
+    rows, xor_terms, _ = _compiled(T)
     if packets is not None:
         for m in ids:
             if not 1 <= m <= len(packets.packets):
                 raise InvalidCode(f"message id {m} outside packet vector of size {len(packets.packets)}")
-    ops = 0
+        own = [packets.packets[m - 1] for m in ids]
+        width = len(own[0])
+        if any(len(p) != width for p in own):
+            for row, _ in rows:  # the rows connect every coordinate, so one raises
+                _xor_all([own[p] for p in row])
+        xs = [int.from_bytes(p, "little") for p in own]
     symbols = []
-    for row, tag in _layout(T):
-        row_ids = [labeling[c] for c in row]
-        payload = None
-        if packets is not None:
-            payload = _xor_all([packets.packets[m - 1] for m in row_ids])
-            ops += (len(row) - 1) * packets.t
-        symbols.append(CodedSymbol(frozenset(row_ids), payload, tag))
-    return IndexCode(tuple(symbols), xor_bit_ops=ops if packets is not None else None)
+    for row, tag in rows:
+        payload = None if packets is None else reduce(xor, map(xs.__getitem__, row)).to_bytes(width, "little")
+        symbols.append(CodedSymbol(frozenset([ids[p] for p in row]), payload, tag))
+    return IndexCode(tuple(symbols), xor_bit_ops=None if packets is None else xor_terms * packets.t)
 
 
 def code_length(T: IccTemplate) -> int:
@@ -205,7 +219,81 @@ def xor_op_count(T: IccTemplate, t: int) -> int:
     _require_valid(T)
     if not isinstance(t, int) or isinstance(t, bool) or t < 1:
         raise InvalidCode(f"packet width must be a positive bit count, got {t!r}")
-    return sum((len(row) - 1) * t for row, _ in _layout(T))
+    return _compiled(T)[1] * t
+
+
+def _walk(T: IccTemplate, coord: Coord):
+    """Decoding steps of the receiver at coord, in coordinate form.
+
+    (row, None) reads the coded symbol of a row, (None, c) the side packet
+    of c.  A path vertex cancels its successor's packet out of one pair
+    symbol; a main-path terminal folds every other main path (and its
+    connector) into the combined parity, then cancels the leftovers with
+    side packets it holds by construction.
+    """
+    if len(coord) != 2:
+        i, j, a = coord
+        nij = T.n_ij(i, j)
+        row = ((i, j, a), (i, j, a + 1)) if a < nij else ((i, j, nij), (j, T.q(i, j)))
+    elif coord[1] < T.n_i(coord[0]):
+        row = (coord, (coord[0], coord[1] + 1))
+    else:
+        i = coord[0]
+        yield tuple([T.terminal(h) for h in range(1, T.k + 1)]), None
+        for h in range(1, T.k + 1):
+            if h != i:
+                q, nih = T.q(i, h), T.n_ij(i, h)
+                for b in range(q, T.n_i(h)):
+                    yield ((h, b), (h, b + 1)), None
+                for b in range(1, nih):
+                    yield ((i, h, b), (i, h, b + 1)), None
+                if nih:
+                    yield ((i, h, nih), (h, q)), None
+                yield None, (i, h, 1) if nih else (h, q)
+        return
+    yield row, None
+    yield None, row[1]
+
+
+def _chain(T: IccTemplate, coord) -> tuple | None:
+    """_walk of one of T's coordinates as positions, cached on the template;
+    None for a labeling key that is not one of them."""
+    chains = _compiled(T)[2]
+    if coord not in chains:
+        coords = _coord_tuple(T)
+        if coord not in coords:
+            return None
+        pos = {c: p for p, c in enumerate(coords)}.__getitem__
+        steps = _walk(T, coords[pos(coord)])
+        chains[coord] = tuple([(None, pos(c)) if row is None else (tuple(map(pos, row)), None) for row, c in steps])
+    return chains[coord]
+
+
+def _fold(steps, key, code: IndexCode, side_packets: dict[int, bytes]) -> bytes:
+    """XOR the operands of decoding steps whose coordinates `key` maps to
+    message ids; each operand's width is checked before the next step."""
+    ints, width, acc = code._ints, None, 0
+    for row, c in steps:
+        if row is None:
+            m = key(c)
+            if m not in side_packets:
+                raise MissingSidePacket(m)
+            x, w = int.from_bytes(side_packets[m], "little"), len(side_packets[m])
+        else:
+            support = frozenset(map(key, row))
+            if support not in ints:
+                sym = code._by_support.get(support)
+                if sym is None:
+                    raise MissingCodedSymbol(support)
+                if sym.payload is None:
+                    ids = "+".join(f"x{i}" for i in sorted(support))
+                    raise DecodeFailure(f"coded symbol {ids} carries no payload")
+                ints[support] = (int.from_bytes(sym.payload, "little"), len(sym.payload))
+            x, w = ints[support]
+        if width is not None and w != width:
+            raise InvalidCode(f"packet length mismatch: {width} vs {w} bytes")
+        width, acc = w, acc ^ x
+    return acc.to_bytes(width, "little")
 
 
 def decode_receiver(
@@ -222,61 +310,16 @@ def decode_receiver(
     MissingCodedSymbol or MissingSidePacket when a dependency is absent.
     """
     _require_valid(T)
-    _checked_labeling(T, labeling)
+    ids = _checked_labeling(T, labeling)
     # the last key holding the receiver's id, as inverting the labeling would give
-    ids = list(labeling.values())
-    ids.reverse()
-    coord = list(labeling)[~ids.index(receiver)] if receiver in ids else None
-    if coord is None:
+    held = list(labeling.values())[::-1]
+    if receiver not in held:
         raise DecodeFailure(f"receiver {receiver} is not covered by the labeling")
-
-    by_support = code._by_support
-
-    def fetch(*row: Coord) -> bytes:
-        support = frozenset(labeling[c] for c in row)
-        sym = by_support.get(support)
-        if sym is None:
-            raise MissingCodedSymbol(support)
-        if sym.payload is None:
-            ids = "+".join(f"x{i}" for i in sorted(support))
-            raise DecodeFailure(f"coded symbol {ids} carries no payload")
-        return sym.payload
-
-    def side(message_id: int) -> bytes:
-        if message_id not in side_packets:
-            raise MissingSidePacket(message_id)
-        return side_packets[message_id]
-
-    if len(coord) == 2:
-        i, a = coord
-        ni = T.n_i(i)
-        if a < ni:
-            return _xor_all((fetch((i, a), (i, a + 1)), side(labeling[(i, a + 1)])))
-
-        def parity_operands():
-            # main-path terminal: fold every other path into the combined parity
-            yield fetch(*(T.terminal(h) for h in range(1, T.k + 1)))
-            for h in range(1, T.k + 1):
-                if h == i:
-                    continue
-                q = T.q(i, h)
-                for b in range(q, T.n_i(h)):
-                    yield fetch((h, b), (h, b + 1))
-                nih = T.n_ij(i, h)
-                if nih == 0:
-                    yield side(labeling[(h, q)])
-                else:
-                    for b in range(1, nih):
-                        yield fetch((i, h, b), (i, h, b + 1))
-                    yield fetch((i, h, nih), (h, q))
-                    yield side(labeling[(i, h, 1)])
-
-        return _xor_all(parity_operands())
-    i, j, a = coord
-    nij = T.n_ij(i, j)
-    if a < nij:
-        return _xor_all((fetch((i, j, a), (i, j, a + 1)), side(labeling[(i, j, a + 1)])))
-    return _xor_all((fetch((i, j, nij), (j, T.q(i, j))), side(labeling[(j, T.q(i, j))])))
+    coord = list(labeling)[~held.index(receiver)]
+    chain = _chain(T, coord)
+    if chain is None:
+        return _fold(_walk(T, coord), labeling.__getitem__, code, side_packets)
+    return _fold(chain, ids.__getitem__, code, side_packets)
 
 
 # ---------- text formats ----------
@@ -347,12 +390,16 @@ def _parse_header(lines: list[str]) -> int:
     return t
 
 
-def _parse_hex(no: int, token: str, width: int) -> bytes:
+def _parse_hex(no: int, token: str, t: int) -> bytes:
+    """One t-bit packet from hex: ceil(t/8) bytes, padding bits zero."""
+    width = packet_bytes(t)
     if not re.fullmatch(r"[0-9a-f]*", token) or len(token) % 2:
         raise FormatError(f"line {no}: bad packet hex {token!r}")
     raw = bytes.fromhex(token)
     if len(raw) != width:
         raise FormatError(f"line {no}: expected {width} bytes, got {len(raw)}")
+    if raw[-1] >> (t - 8 * (width - 1)):
+        raise FormatError(f"line {no}: padding bits beyond t={t} must be zero")
     return raw
 
 
@@ -360,8 +407,7 @@ def parse_packets(text: str) -> PacketVector:
     """Parse a packet file into a validated vector (ids follow line order)."""
     lines = text.splitlines()
     t = _parse_header(lines)
-    width = packet_bytes(t)
-    pkts = [_parse_hex(no, line.strip(), width) for no, line in enumerate(lines[1:], start=2)]
+    pkts = [_parse_hex(no, line.strip(), t) for no, line in enumerate(lines[1:], start=2)]
     return new_packet_vector(t, pkts)
 
 
@@ -375,8 +421,6 @@ def serialize_side(t: int, side_packets: dict[int, bytes]) -> str:
 def parse_side(text: str) -> tuple[int, dict[int, bytes]]:
     lines = text.splitlines()
     t = _parse_header(lines)
-    width = packet_bytes(t)
-    pad_mask = 0xFF ^ ((1 << (t - 8 * (width - 1))) - 1)
     out: dict[int, bytes] = {}
     for no, line in enumerate(lines[1:], start=2):
         if "=" not in line:
@@ -390,8 +434,5 @@ def parse_side(text: str) -> tuple[int, dict[int, bytes]]:
             raise FormatError(f"line {no}: message id must be >= 1, got {mid}")
         if mid in out:
             raise FormatError(f"line {no}: duplicate message id {mid}")
-        raw = _parse_hex(no, right.strip(), width)
-        if raw[-1] & pad_mask:
-            raise FormatError(f"line {no}: padding bits beyond t={t} must be zero")
-        out[mid] = raw
+        out[mid] = _parse_hex(no, right.strip(), t)
     return t, out

@@ -171,6 +171,8 @@ def parse_digraph(text: str) -> Digraph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise FormatError("top-level value must be an object")
     extra = set(obj) - {"n", "arcs"}

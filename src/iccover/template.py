@@ -14,8 +14,10 @@ ordered pair (i, j).  A labeling maps coordinates to host vertex ids.
 
 An ``IccTemplate`` is immutable (``type_ii`` and ``attach`` are read-only
 views of private copies), so what is derived from it cannot go stale: its
-soundness verdict and coordinate tuple are each computed once, on first
-use.  A labeling is a dict the caller owns, so it is checked on every call.
+soundness verdict, coordinate tuple and arc list (in coordinate-index
+form) are each computed once, on first use, and the codec keeps its
+compiled rows and decoding chains on it the same way.  A labeling is a
+dict the caller owns, so it is checked on every call.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import accumulate, permutations
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -59,8 +61,8 @@ class IccTemplate:
         object.__setattr__(self, "attach", MappingProxyType(dict(self.attach)))
         # filled on first use; plain attributes, not cached_property, which
         # makes CPython 3.11 build the instance __dict__ and slows every read
-        object.__setattr__(self, "_sound", None)
-        object.__setattr__(self, "_coords", None)
+        for name in ("_sound", "_coords", "_arcs", "_codec"):
+            object.__setattr__(self, name, None)
 
     def __reduce__(self):
         # a mappingproxy cannot be pickled; rebuild from plain dicts
@@ -191,22 +193,24 @@ def _template_problems(T: IccTemplate) -> list[str]:
 
 def template_arcs(T: IccTemplate) -> list[tuple[Coord, Coord]]:
     """Arcs of the built digraph in coordinate form (assumes a valid template)."""
-    arcs: list[tuple[Coord, Coord]] = []
-    for i in range(1, T.k + 1):
-        for a in range(1, T.n_i(i)):
-            arcs.append(((i, a), (i, a + 1)))
-    for (i, j) in T.pairs():
-        for a in range(1, T.n_ij(i, j)):
-            arcs.append(((i, j, a), (i, j, a + 1)))
-    for (i, j) in T.pairs():
-        nij = T.n_ij(i, j)
-        q = T.q(i, j)
-        if nij >= 1:
-            arcs.append((T.terminal(i), (i, j, 1)))
-            arcs.append(((i, j, nij), (j, q)))
-        else:
-            arcs.append((T.terminal(i), (j, q)))
-    return arcs
+    coords = _coord_tuple(T)
+    return [(coords[a], coords[b]) for a, b in _arc_index(T)]
+
+
+def _arc_index(T: IccTemplate) -> tuple[tuple[int, int], ...]:
+    """Main-path arcs, connector arcs, then each pair's links, as positions
+    in _coord_tuple(T); one walk of position arithmetic, on the first call."""
+    if T._arcs is None:
+        starts = [0, *accumulate(T.type_i)]  # (i, 1) sits at starts[i - 1]
+        path = [(p, p + 1) for i in range(T.k) for p in range(starts[i], starts[i + 1] - 1)]
+        links, at = [], starts[-1]  # at: position of the next connector's first vertex
+        for i, j in T.pairs():
+            nij, end = T.n_ij(i, j), starts[j - 1] + T.attach[(i, j)] - 1
+            path += [(p, p + 1) for p in range(at, at + nij - 1)]
+            links += [(starts[i] - 1, at), (at + nij - 1, end)] if nij else [(starts[i] - 1, end)]
+            at += nij
+        object.__setattr__(T, "_arcs", tuple(path + links))
+    return T._arcs
 
 
 def canonical_labeling(T: IccTemplate) -> Labeling:
@@ -228,8 +232,7 @@ def build_digraph(T: IccTemplate) -> tuple[Digraph, Labeling]:
     records which vertex realizes which coordinate.
     """
     lab = canonical_labeling(T)
-    arcs = [(lab[a], lab[b]) for a, b in template_arcs(T)]
-    return new_digraph(T.n, arcs), lab
+    return new_digraph(T.n, [(a + 1, b + 1) for a, b in _arc_index(T)]), lab
 
 
 def check_embedding(D: Digraph, T: IccTemplate, labeling: Labeling) -> bool:
@@ -250,7 +253,8 @@ def check_embedding(D: Digraph, T: IccTemplate, labeling: Labeling) -> bool:
     for v in ids:
         if not _is_count(v) or not 1 <= v <= D.n:
             return False
-    return all((labeling[a], labeling[b]) in D.arcs for a, b in template_arcs(T))
+    out = D.out_masks
+    return all(out[ids[a]] >> (ids[b] - 1) & 1 for a, b in _arc_index(T))
 
 
 def cycle_to_template(cycle: Cycle, split: int) -> tuple[IccTemplate, Labeling]:
@@ -342,6 +346,8 @@ def parse_template(text: str) -> IccTemplate:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise FormatError("top-level value must be an object")
     extra = set(obj) - {"k", "typeI", "typeII", "attach"}

@@ -221,3 +221,14 @@ def test_unknown_command():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [["compare", "--digraph"], ["gen-icc", "--template"]], ids=["digraph", "template"])
+@pytest.mark.parametrize("raw", [b"\xff\xfe", b"[" * 200000], ids=["not-utf8", "deeply-nested"])
+def test_hostile_input_is_one_error_line(tmp_path, capsys, command, raw):
+    f = tmp_path / "hostile.json"
+    f.write_bytes(raw)
+    assert main([*command, str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err

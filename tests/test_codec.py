@@ -489,3 +489,74 @@ def test_every_call_validates_through_the_codec_binding(d1_template, monkeypatch
             assert decode_receiver(T, lab, code, v, side) == pv.packet(v)
     assert code_length(T) == 4 and xor_op_count(T, 8) == 40
     assert len(calls) == 1 + 2 * len(lab) + 2 and all(t is T for t in calls)
+
+
+def test_parse_packets_reports_padding_by_line():
+    with pytest.raises(FormatError) as exc:
+        parse_packets("t=3\n07\n0f\n")
+    assert type(exc.value) is FormatError
+    assert str(exc.value) == "line 3: padding bits beyond t=3 must be zero"
+    with pytest.raises(FormatError, match="^line 2: padding bits beyond t=3 must be zero$"):
+        parse_packets("t=3\nff\n")
+    with pytest.raises(InvalidCode, match="^packet 1: padding bits beyond t=3 must be zero$"):
+        new_packet_vector(3, [b"\xff"])
+
+
+def _reference_layout(T):
+    """The emission rows as the coordinate walk listed them before they were compiled."""
+    rows = []
+    for i in range(1, T.k + 1):
+        rows += [(((i, a), (i, a + 1)), TAG_PATH_I) for a in range(1, T.n_i(i))]
+    for (i, j) in T.pairs():
+        rows += [(((i, j, a), (i, j, a + 1)), TAG_PATH_II) for a in range(1, T.n_ij(i, j))]
+    for (i, j) in T.pairs():
+        if T.n_ij(i, j) >= 1:
+            rows.append((((i, j, T.n_ij(i, j)), (j, T.q(i, j))), TAG_BRIDGE))
+    rows.append((tuple((i, T.n_i(i)) for i in range(1, T.k + 1)), TAG_SUM))
+    return rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(k=st.integers(1, 6), max_path_len=st.integers(1, 4), density=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**16))
+def test_compiled_rows_match_coordinate_walk(k, max_path_len, density, seed):
+    T = random_template(k, max_path_len, density, seed)
+    expected = _reference_layout(T)
+    assert codec._layout(T) == expected
+    pos = {c: p for p, c in enumerate(T.coords())}
+    rows, xor_terms, _ = codec._compiled(T)
+    assert [(tuple(pos[c] for c in row), tag) for row, tag in expected] == list(rows)
+    assert xor_terms * 7 == xor_op_count(T, 7) == sum((len(row) - 1) * 7 for row, _ in expected)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(k=st.integers(1, 5), seed=st.integers(0, 2**16), data=st.data())
+def test_payload_free_symbol_fails_on_every_call(k, seed, data):
+    """A symbol without payload is never cached as an int: every receiver
+    that reads it fails, on every pass, while the others decode from the
+    ints the earlier receivers cached."""
+    rng = random.Random(seed)
+    T = random_template(k, 3, 0.3, seed)
+    D, lab = build_digraph(T)
+    pv = rand_packets(8, T.n, rng)
+    full = encode(T, lab, pv)
+    hole = data.draw(st.integers(0, full.length - 1))
+    symbols = list(full.symbols)
+    symbols[hole] = CodedSymbol(symbols[hole].support, None, symbols[hole].tag)
+    code = IndexCode(tuple(symbols))
+    ids = "+".join(f"x{i}" for i in sorted(symbols[hole].support))
+    receivers = data.draw(st.permutations(range(1, T.n + 1)))
+    failed = []
+    for _ in range(2):
+        failed.append(set())
+        for v in receivers:
+            side = {m: pv.packet(m) for m in side_info(D, v)}
+            fresh = _outcome(decode_receiver, T, lab, IndexCode(tuple(symbols)), v, side)
+            got = _outcome(decode_receiver, T, lab, code, v, side)
+            assert got == fresh
+            if got == (DecodeFailure, f"coded symbol {ids} carries no payload"):
+                failed[-1].add(v)
+            else:
+                assert got == pv.packet(v)
+    assert failed[0] == failed[1] != set()
+    assert symbols[hole].support not in code._ints
+    assert code._ints or failed[0] == set(receivers)  # the other receivers filled the cache

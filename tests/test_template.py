@@ -10,6 +10,7 @@ from iccover.digraph import Cycle, new_digraph, side_info
 from iccover.errors import EmbeddingError, FormatError, InvalidDigraph, InvalidTemplate
 from iccover.template import (
     IccTemplate,
+    _arc_index,
     build_digraph,
     canonical_labeling,
     check_embedding,
@@ -395,3 +396,100 @@ def test_copy_and_pickle_round_trip(T, read_first, clone):
     assert U.coords() == T.coords()
     with pytest.raises(TypeError):
         U.attach[(1, 2)] = 1
+
+
+# ---------- the index-form arc list against the coordinate walk ----------
+
+
+def _reference_template_arcs(T):
+    """template_arcs as the coordinate walk listed it before the index form."""
+    arcs = []
+    for i in range(1, T.k + 1):
+        arcs += [((i, a), (i, a + 1)) for a in range(1, T.n_i(i))]
+    for (i, j) in T.pairs():
+        arcs += [((i, j, a), (i, j, a + 1)) for a in range(1, T.n_ij(i, j))]
+    for (i, j) in T.pairs():
+        nij, q = T.n_ij(i, j), T.q(i, j)
+        if nij >= 1:
+            arcs += [(T.terminal(i), (i, j, 1)), ((i, j, nij), (j, q))]
+        else:
+            arcs.append((T.terminal(i), (j, q)))
+    return arcs
+
+
+def _reference_check_embedding(D, T, labeling):
+    """check_embedding as a scan of D's arc set over the coordinate walk."""
+    try:
+        ids = [labeling[c] for c in T.coords()]
+    except KeyError:
+        return False
+    if len(set(ids)) != len(ids) or not all(_count(v) and 1 <= v <= D.n for v in ids):
+        return False
+    return all((labeling[a], labeling[b]) in D.arcs for a, b in _reference_template_arcs(T))
+
+
+@st.composite
+def sound_templates(draw):
+    """random_template draws with zero-length connectors spelled out and
+    some keys stored as equal float pairs."""
+    k = draw(st.integers(1, 5))
+    T = random_template(k, draw(st.integers(1, 3)), draw(st.sampled_from([0.0, 0.4, 1.0])), draw(st.integers(0, 2**16)))
+    type_ii, attach = dict(T.type_ii), dict(T.attach)
+    for p in T.pairs():
+        if p not in type_ii and draw(st.booleans()):
+            type_ii[p] = 0
+    for store in (type_ii, attach):
+        for p in list(store):
+            if draw(st.integers(0, 3)) == 0:
+                store[(float(p[0]), float(p[1]))] = store.pop(p)
+    return IccTemplate(k, T.type_i, type_ii, attach)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sound_templates())
+def test_arc_index_matches_coordinate_walk(T):
+    assert validate_template(T) == []
+    expected = _reference_template_arcs(T)
+    pos = {c: p for p, c in enumerate(T.coords())}
+    assert _arc_index(T) == tuple((pos[a], pos[b]) for a, b in expected)
+    assert _arc_index(T) is _arc_index(T)  # set once, on the first call
+    assert template_arcs(T) == expected
+    D, lab = build_digraph(T)
+    assert D.arcs == {(lab[a], lab[b]) for a, b in expected}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sound_templates(), st.data())
+def test_check_embedding_matches_arc_set_scan(T, data):
+    """Hosts are the built digraph relabeled into up to two more vertices,
+    with arcs dropped and added; labelings may miss a key, repeat an id,
+    hold a bool or an out-of-range id, or map arcs onto non-arcs."""
+    built, lab = build_digraph(T)
+    n = built.n + data.draw(st.integers(0, 2))
+    perm = [0, *data.draw(st.permutations(range(1, n + 1)))]
+    arcs = {(perm[u], perm[v]) for u, v in built.arcs}
+    arcs -= set(data.draw(st.lists(st.sampled_from(sorted(arcs)), max_size=2))) if arcs else set()
+    if n >= 2:
+        extra = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda a: a[0] != a[1])
+        arcs |= set(data.draw(st.lists(extra, max_size=3)))
+    D = new_digraph(n, arcs)
+    labeling = {c: perm[v] for c, v in lab.items()}
+    coords = T.coords()
+    for _ in range(data.draw(st.integers(0, 2))):
+        c = data.draw(st.sampled_from(coords))
+        defect = data.draw(st.sampled_from(["missing", "repeated", "bool", "low", "high", "swap"]))
+        if defect == "missing":
+            labeling.pop(c, None)
+        elif defect == "repeated" and labeling:
+            labeling[c] = data.draw(st.sampled_from(sorted(labeling.values(), key=repr)))
+        elif defect == "bool":
+            labeling[c] = True
+        elif defect in ("low", "high"):
+            labeling[c] = 0 if defect == "low" else n + 1
+        elif c in labeling:
+            d = data.draw(st.sampled_from(coords))
+            if d in labeling:
+                labeling[c], labeling[d] = labeling[d], labeling[c]
+    expected = _reference_check_embedding(D, T, labeling)
+    assert check_embedding(D, T, labeling) is expected
+    assert check_embedding(D, T, labeling) is expected  # from the cached arc list
