@@ -5,52 +5,57 @@ already holds message v, so the out-neighborhood of a vertex is exactly
 its side-information set.  Digraph values are immutable after
 construction and safe to share; every function in this module is pure.
 
-Each Digraph also carries its adjacency as bitmasks (``out_masks`` and
-``in_masks``, built once on first use), which the bitmask helpers at the
-bottom (``shortest_cycle_mask`` and friends) and the covering and oracle
-modules traverse.  Vertex v corresponds to bit v-1.  ``pack_cycles`` is
-the greedy planners' incremental form of repeated ``shortest_cycle_mask``
-calls, each found cycle deleted before the next.
+A Digraph is stored as its adjacency bitmasks and nothing else:
+``out_masks[u]`` has bit v-1 set iff (u, v) is an arc, and ``in_masks``
+is the transpose, both built by ``new_digraph`` in one pass over the
+arcs.  The arc set ``arcs`` is derived from ``out_masks`` on each read.
+The bitmask helpers at the bottom (``shortest_cycle_mask`` and friends)
+and the covering and oracle modules traverse the masks directly.
+``pack_cycles`` is the greedy planners' incremental form of repeated
+``shortest_cycle_mask`` calls, each found cycle deleted before the next.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import insort
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import FormatError, InvalidDigraph
 
 DEFAULT_CYCLE_CAP = 10**6
 
+# Size bounds.  Every digraph has at most MAX_N vertices, so a mask tuple
+# holds at most MAX_N + 1 ints of MAX_N bits; exact mode fills lists of 2^n
+# entries, about 8 GB each at n = 30, so it refuses n > EXACT_LIMIT
+# whatever the bound.
+MAX_N = 1024
+EXACT_LIMIT = 20
+
 
 @dataclass(frozen=True)
 class Digraph:
-    """Immutable digraph with 1-indexed vertices and no self-arcs."""
+    """Immutable digraph with 1-indexed vertices and no self-arcs, as
+    adjacency bitmasks (index 0 unused); build one with new_digraph.
+
+    Two digraphs are equal iff they have the same n and the same arcs.
+    """
 
     n: int
-    arcs: frozenset[tuple[int, int]]
+    out_masks: tuple[int, ...]
+    in_masks: tuple[int, ...] = field(compare=False)
+
+    @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """The arc set, read off out_masks."""
+        return frozenset(_sorted_arcs(self.out_masks))
+
+    def __repr__(self) -> str:
+        return f"Digraph(n={self.n}, arcs={_sorted_arcs(self.out_masks)})"
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
-
-    @cached_property
-    def out_masks(self) -> tuple[int, ...]:
-        """out_masks[u] has bit v-1 set iff (u,v) is an arc; index 0 unused."""
-        masks = [0] * (self.n + 1)
-        for u, v in self.arcs:
-            masks[u] |= 1 << (v - 1)
-        return tuple(masks)
-
-    @cached_property
-    def in_masks(self) -> tuple[int, ...]:
-        """in_masks[v] has bit u-1 set iff (u,v) is an arc; index 0 unused."""
-        masks = [0] * (self.n + 1)
-        for u, v in self.arcs:
-            masks[v] |= 1 << (u - 1)
-        return tuple(masks)
+        return _is_vertex(self.n, u) and _is_vertex(self.n, v) and self.out_masks[u] >> (v - 1) & 1 == 1
 
     def out_neighbors(self, u: int) -> set[int]:
         _check_vertex(self.n, u)
@@ -79,27 +84,42 @@ class Cycle:
         return len(self.vertices)
 
 
+def _is_vertex(n: int, v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n
+
+
 def _check_vertex(n: int, v) -> None:
-    if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n:
+    if not _is_vertex(n, v):
         raise InvalidDigraph(f"vertex id {v!r} out of range 1..{n}")
 
 
 def new_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
-    """Build a digraph, rejecting bad endpoints and self-arcs; duplicates collapse."""
+    """Build a digraph, rejecting bad endpoints, self-arcs and n above
+    MAX_N; duplicates collapse."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InvalidDigraph(f"vertex count must be a non-negative integer, got {n!r}")
-    clean = set()
+    if n > MAX_N:
+        raise InvalidDigraph(f"vertex count {n} is above the limit of {MAX_N}")
+    out = [0] * (n + 1)
+    inn = [0] * (n + 1)
     for arc in arcs:
         try:
             u, v = arc
         except (TypeError, ValueError):
             raise InvalidDigraph(f"arc {arc!r} is not a pair") from None
-        _check_vertex(n, u)
-        _check_vertex(n, v)
-        if u == v:
-            raise InvalidDigraph(f"self-arc ({u},{v}) is not allowed")
-        clean.add((u, v))
-    return Digraph(n, frozenset(clean))
+        if not (type(u) is int and type(v) is int and 0 < u <= n and 0 < v <= n and u != v):
+            _check_vertex(n, u)  # the checks that raise; int subclasses pass them
+            _check_vertex(n, v)
+            if u == v:
+                raise InvalidDigraph(f"self-arc ({u},{v}) is not allowed")
+        out[u] |= 1 << (v - 1)
+        inn[v] |= 1 << (u - 1)
+    return Digraph(n, tuple(out), tuple(inn))
+
+
+def _sorted_arcs(out_masks: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Every arc (u, v) in lexicographic order: each mask lists its v ascending."""
+    return [(u, v) for u, m in enumerate(out_masks) for v in iter_mask_vertices(m)]
 
 
 def side_info(D: Digraph, i: int) -> set[int]:
@@ -156,12 +176,12 @@ def induced_subdigraph(D: Digraph, vertices: Iterable[int]) -> tuple[Digraph, di
         if u in new_id and v in new_id
     }
     mapping = {idx: old for idx, old in enumerate(vs, start=1)}
-    return Digraph(len(vs), frozenset(arcs)), mapping
+    return new_digraph(len(vs), arcs), mapping
 
 
 def serialize_digraph(D: Digraph) -> str:
     """Canonical JSON: arcs sorted lexicographically, no whitespace variation."""
-    obj = {"n": D.n, "arcs": [[u, v] for (u, v) in sorted(D.arcs)]}
+    obj = {"n": D.n, "arcs": _sorted_arcs(D.out_masks)}  # json writes a tuple as an array
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -183,6 +203,8 @@ def parse_digraph(text: str) -> Digraph:
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise FormatError(f"field 'n': expected a non-negative integer, got {n!r}")
+    if n > MAX_N:
+        raise FormatError(f"field 'n': {n} vertices is above the limit of {MAX_N}")
     raw = obj["arcs"]
     if not isinstance(raw, list):
         raise FormatError("field 'arcs': expected a list")

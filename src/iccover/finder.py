@@ -25,6 +25,7 @@ from itertools import combinations
 from operator import or_
 
 from .digraph import (
+    EXACT_LIMIT,
     Cycle,
     Digraph,
     _reach_mask,
@@ -39,9 +40,6 @@ from .errors import EmbeddingError, SizeRefusal
 from .template import IccTemplate, Labeling, check_embedding, cycle_to_template
 
 DEFAULT_EXACT_BOUND = 12
-# exact mode fills lists of 2^n entries, about 8 GB each at n = 30, so it
-# refuses larger digraphs whatever the bound
-EXACT_LIMIT = 20
 
 Piece = tuple[IccTemplate, Labeling]
 # internal: (k, template, labeling) for one spanning embedding

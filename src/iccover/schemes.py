@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .codec import TAG_UNCODED, CodedSymbol, IndexCode, PacketVector, encode
 from .digraph import (
+    MAX_N,
     Cycle,
     Digraph,
     full_mask,
@@ -287,6 +288,8 @@ def gap_family(k: int) -> Digraph:
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise InvalidDigraph(f"family parameter must be a positive integer, got {k!r}")
+    if 2 * k > MAX_N:
+        raise InvalidDigraph(f"family parameter {k} gives {2 * k} vertices, above the limit of {MAX_N}")
     arcs = [(k + i, i) for i in range(1, k + 1)]
     arcs += [(i, k + j) for i in range(1, k + 1) for j in range(1, k + 1) if j != i]
     return new_digraph(2 * k, arcs)

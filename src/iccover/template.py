@@ -25,11 +25,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate, permutations
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .digraph import Cycle, Digraph, new_digraph
+from .digraph import MAX_N, Cycle, Digraph, new_digraph
 from .errors import EmbeddingError, FormatError, InvalidDigraph, InvalidTemplate
 
 Coord = tuple  # (i, a) for Type-I, (i, j, a) for Type-II
@@ -119,38 +120,18 @@ def validate_template(T: IccTemplate) -> list[str]:
     For k >= 2 every ordered pair needs an attachment point in range, and
     every main path's first vertex must be targeted by some attachment so
     that it has an incoming arc in the built digraph.  A single-path
-    template (k = 1) has no pairs and is exempt from those checks.
+    template (k = 1) has no pairs and is exempt from those checks.  A
+    template has at most MAX_N vertices, like the digraphs it embeds in.
 
-    Soundness is confirmed once per template, by set comparisons of the
-    key views and one range check per attachment; anything else goes
-    through the full routine, which lists every problem in a fixed order.
+    The verdict is kept on the template: a sound template is checked
+    once, and an unsound one lists its problems, in a fixed order, on
+    every call.
     """
     if T._sound is None:
-        object.__setattr__(T, "_sound", _is_sound(T))
-    if T._sound:
-        return []
-    return _template_problems(T)
-
-
-def _is_sound(T: IccTemplate) -> bool:
-    # exact int type checks: bools and int subclasses take the full routine
-    k, type_i, attach = T.k, T.type_i, T.attach
-    if not (type(k) is int and k >= 1 and len(type_i) == k and all(type(ln) is int and ln >= 1 for ln in type_i)):
-        return False
-    pairs = T.pairs()
-    if not (attach.keys() == set(pairs) and T.type_ii.keys() <= attach.keys()):
-        return False
-    if not all(type(ln) is int and ln >= 0 for ln in T.type_ii.values()):
-        return False
-    targeted = set()
-    # look keys up by pairs(): a stored key may be an equal tuple of floats
-    for i, j in pairs:
-        q = attach[(i, j)]
-        if not (type(q) is int and 1 <= q <= type_i[j - 1]):
-            return False
-        if q == 1:
-            targeted.add(j)
-    return k == 1 or len(targeted) == k
+        problems = _template_problems(T)
+        object.__setattr__(T, "_sound", not problems)
+        return problems
+    return [] if T._sound else _template_problems(T)
 
 
 def _template_problems(T: IccTemplate) -> list[str]:
@@ -165,6 +146,8 @@ def _template_problems(T: IccTemplate) -> list[str]:
                 problems.append(f"main path {idx}: length must be >= 1, got {ln!r}")
     if problems:
         return problems
+    if sum(T.type_i) > MAX_N:  # before any walk over the k(k - 1) pairs
+        return [f"template has at least {sum(T.type_i)} vertices, above the limit of {MAX_N}"]
     valid_pairs = set(T.pairs())
     for key in sorted(T.type_ii, key=repr):
         val = T.type_ii[key]
@@ -172,9 +155,9 @@ def _template_problems(T: IccTemplate) -> list[str]:
             problems.append(f"connector for nonexistent pair {key!r}")
         elif not _is_count(val) or val < 0:
             problems.append(f"connector {key}: length must be >= 0, got {val!r}")
-    for key in sorted(T.attach, key=repr):
-        if key not in valid_pairs:
-            problems.append(f"attachment for nonexistent pair {key!r}")
+    # a clique's k(k - 1) attachments: sort only the foreign keys
+    for key in sorted([key for key in T.attach if key not in valid_pairs], key=repr):
+        problems.append(f"attachment for nonexistent pair {key!r}")
     for (i, j) in T.pairs():
         if (i, j) not in T.attach:
             problems.append(f"pair ({i},{j}): no attachment point")
@@ -188,6 +171,8 @@ def _template_problems(T: IccTemplate) -> list[str]:
         for j in range(1, T.k + 1):
             if not any(T.attach[(i, j)] == 1 for i in range(1, T.k + 1) if i != j):
                 problems.append(f"main path {j}: first vertex never targeted by an attachment")
+    if T.n > MAX_N:
+        problems.append(f"template has {T.n} vertices, above the limit of {MAX_N}")
     return problems
 
 
@@ -262,44 +247,66 @@ def cycle_to_template(cycle: Cycle, split: int) -> tuple[IccTemplate, Labeling]:
 
     The first `split` vertices form path 1 and the rest path 2; both
     attachments land on position 1, which reproduces the cycle's arcs.
+    Cycles of one shape share one template.
     """
     L = len(cycle.vertices)
     if L < 2:
         raise InvalidTemplate(f"cycle must have at least 2 vertices, got {L}")
-    if not 1 <= split < L:
-        raise InvalidTemplate(f"split must lie in 1..{L - 1}, got {split}")
-    T = IccTemplate(k=2, type_i=(split, L - split), attach={(1, 2): 1, (2, 1): 1})
-    lab: Labeling = {}
-    for a in range(1, split + 1):
-        lab[(1, a)] = cycle.vertices[a - 1]
-    for a in range(1, L - split + 1):
-        lab[(2, a)] = cycle.vertices[split + a - 1]
-    return T, lab
+    if not _is_count(split) or not 1 <= split < L:
+        raise InvalidTemplate(f"split must lie in 1..{L - 1}, got {split!r}")
+    vs = cycle.vertices
+    lab: Labeling = {(1, a): vs[a - 1] for a in range(1, split + 1)}
+    lab.update({(2, a): vs[split + a - 1] for a in range(1, L - split + 1)})
+    shape = _cycle_shape if L <= SHARED_SHAPE_MAX else _cycle_shape.__wrapped__
+    return shape(split, L - split), lab
 
 
 def clique_to_template(D: Digraph, vertices: Iterable[int]) -> tuple[IccTemplate, Labeling]:
-    """View a bidirectionally complete vertex set as single-vertex main paths."""
+    """View a bidirectionally complete vertex set as single-vertex main
+    paths.  Cliques of one size share one template."""
     vs = sorted(set(vertices))
     if not vs:
         raise EmbeddingError("clique must contain at least one vertex")
+    mask = 0
     for v in vs:
         if not _is_count(v) or not 1 <= v <= D.n:
             raise InvalidDigraph(f"vertex id {v!r} out of range 1..{D.n}")
+        mask |= 1 << (v - 1)
+    out = D.out_masks
     for u in vs:
-        for v in vs:
-            if u != v and (u, v) not in D.arcs:
-                raise EmbeddingError(f"vertices {vs} are not a clique: missing arc ({u},{v})")
-    L = len(vs)
+        missing = mask & ~out[u] & ~(1 << (u - 1))
+        if missing:
+            v = (missing & -missing).bit_length()
+            raise EmbeddingError(f"vertices {vs} are not a clique: missing arc ({u},{v})")
+    shape = _clique_shape if len(vs) <= SHARED_SHAPE_MAX else _clique_shape.__wrapped__
+    return shape(len(vs)), {(i, 1): v for i, v in enumerate(vs, start=1)}
+
+
+# One template per shape, shared by every piece of that shape: a template
+# is immutable, so it is validated, indexed and compiled once per process.
+# A cached clique template holds L(L - 1) attachments for good (28 MiB at
+# L = 400), so only pieces of at most SHARED_SHAPE_MAX vertices share one;
+# all shared shapes together then hold under 3 MB.
+SHARED_SHAPE_MAX = 32
+
+
+@lru_cache(maxsize=128)
+def _cycle_shape(first: int, second: int) -> IccTemplate:
+    return IccTemplate(k=2, type_i=(first, second), attach={(1, 2): 1, (2, 1): 1})
+
+
+@lru_cache(maxsize=SHARED_SHAPE_MAX)
+def _clique_shape(L: int) -> IccTemplate:
     attach = {(i, j): 1 for i in range(1, L + 1) for j in range(1, L + 1) if i != j}
-    T = IccTemplate(k=L, type_i=(1,) * L, attach=attach)
-    lab = {(i, 1): vs[i - 1] for i in range(1, L + 1)}
-    return T, lab
+    return IccTemplate(k=L, type_i=(1,) * L, attach=attach)
 
 
 def random_template(k: int, max_path_len: int = 4, density: float = 0.3, seed: int = 0) -> IccTemplate:
     """Draw a valid template; density, in [0, 1], is the chance a pair gets a connector."""
     if not _is_count(k) or k < 1:
         raise InvalidTemplate(f"k must be a positive integer, got {k!r}")
+    if k > MAX_N:
+        raise InvalidTemplate(f"k = {k} main paths need more than the limit of {MAX_N} vertices")
     if not _is_count(max_path_len) or max_path_len < 1:
         raise InvalidTemplate(f"max_path_len must be >= 1, got {max_path_len!r}")
     # the chained comparison is also false for NaN
@@ -318,7 +325,10 @@ def random_template(k: int, max_path_len: int = 4, density: float = 0.3, seed: i
         others = [i for i in range(1, k + 1) if i != j]
         if not any(attach[(i, j)] == 1 for i in others):
             attach[(rng.choice(others), j)] = 1
-    return IccTemplate(k=k, type_i=type_i, type_ii=type_ii, attach=attach)
+    T = IccTemplate(k=k, type_i=type_i, type_ii=type_ii, attach=attach)
+    if T.n > MAX_N:
+        raise InvalidTemplate(f"drawn template has {T.n} vertices, above the limit of {MAX_N}")
+    return T
 
 
 def serialize_template(T: IccTemplate) -> str:
@@ -361,6 +371,9 @@ def parse_template(text: str) -> IccTemplate:
     type_i = obj["typeI"]
     if not isinstance(type_i, list) or not all(_is_count(x) for x in type_i):
         raise FormatError("field 'typeI': expected a list of integers")
+    for name in ("typeII", "attach"):
+        if not isinstance(obj.get(name, {}), dict):
+            raise FormatError(f"field {name!r}: expected an object")
     type_ii: dict[tuple[int, int], int] = {}
     for key, val in obj.get("typeII", {}).items():
         if not _is_count(val):

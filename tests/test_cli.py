@@ -232,3 +232,43 @@ def test_hostile_input_is_one_error_line(tmp_path, capsys, command, raw):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _one_error_line(capsys, needle):
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err, err
+
+
+@pytest.mark.parametrize("command", ["compare", "mais", "verify"])
+def test_digraph_above_size_bound_exits_1(tmp_path, capsys, command):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n":1000000000,"arcs":[]}')
+    (tmp_path / "code.txt").write_text("x1\n")
+    extra = ["--code", str(tmp_path / "code.txt")] if command == "verify" else []
+    assert main([command, "--digraph", str(huge), *extra]) == 1
+    _one_error_line(capsys, "above the limit of 1024")
+
+
+@pytest.mark.parametrize("command", [["gen-family", "--k", "513"], ["gen-random", "--k", "1025"], ["gen-random", "--k", "1000000000"]])
+def test_generators_above_size_bound_exit_1(capsys, command):
+    assert main(command) == 1
+    _one_error_line(capsys, "limit of 1024")
+
+
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        ('{"k":1,"typeI":[1],"typeII":[]}', "expected an object"),
+        ('{"k":1,"typeI":[1],"attach":5}', "expected an object"),
+        ('{"k":1,"typeI":[1000000000]}', "above the limit of 1024"),
+        (json.dumps({"k": 10**5, "typeI": [1] * 10**5}), "above the limit of 1024"),
+    ],
+    ids=["typeII-list", "attach-number", "oversized", "too-many-paths"],
+)
+@pytest.mark.parametrize("command", ["gen-icc", "encode"])
+def test_hostile_template_exits_1(tmp_path, capsys, text, needle, command):
+    f = tmp_path / "t.json"
+    f.write_text(text)
+    assert main([command, "--template", str(f)]) == 1
+    _one_error_line(capsys, needle)

@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import itertools
+import json
+import pickle
 import random
 
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iccover.digraph import (
+    MAX_N,
     Cycle,
     Digraph,
     enumerate_cycles,
@@ -46,6 +51,8 @@ def test_new_digraph_deduplicates():
         (2, [(0, 1)]),
         (2, [(1, 3)]),
         (2, [(1, "a")]),
+        (MAX_N + 1, []),
+        (10**9, []),
     ],
 )
 def test_new_digraph_rejects(n, arcs):
@@ -319,8 +326,8 @@ def test_masks_and_neighbors_match_arc_scan(D):
         assert D.in_masks[v] == sum(1 << (u - 1) for u in ins)
         assert D.out_neighbors(v) == side_info(D, v) == outs
         assert D.in_neighbors(v) == ins
-    # the cached masks take no part in equality or hashing
-    fresh = Digraph(D.n, D.arcs)
+    # a value rebuilt from the derived arc set is equal and hashes alike
+    fresh = new_digraph(D.n, D.arcs)
     assert D == fresh and hash(D) == hash(fresh)
     assert fresh in {D} and D.out_masks is D.out_masks
 
@@ -335,3 +342,78 @@ def test_masks_fixed_cases():
             D.out_neighbors(bad)
         with pytest.raises(InvalidDigraph):
             D.in_neighbors(bad)
+
+
+# ---------- value semantics of the mask-only Digraph ----------
+
+
+@st.composite
+def arc_lists(draw, max_n=12):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    return n, draw(st.lists(st.sampled_from(pairs), max_size=60)) if pairs else []
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(arc_lists(), arc_lists(), st.randoms(use_true_random=False))
+def test_digraph_value_semantics_match_frozenset_reference(first, second, rng):
+    (n, arcs), (m, other) = first, second
+    ref = frozenset(arcs)
+    D = new_digraph(n, arcs)
+    assert type(D.arcs) is frozenset and D.arcs == ref
+    # same n and same arcs, in any order and with repeats, is the same value
+    shuffled = arcs + arcs[: len(arcs) // 2]
+    rng.shuffle(shuffled)
+    same = new_digraph(n, shuffled)
+    assert same == D and hash(same) == hash(D) and len({D, same}) == 1
+    E = new_digraph(m, other)
+    assert (D == E) == ((n, ref) == (m, frozenset(other)))
+    if D == E:
+        assert hash(D) == hash(E)
+    assert new_digraph(n + 1, arcs) != D
+    if arcs:
+        assert new_digraph(n, ref - {arcs[0]}) != D
+    for u in range(-1, n + 2):
+        for v in range(-1, n + 2):
+            assert D.has_arc(u, v) == ((u, v) in ref)
+    for v in range(1, n + 1):
+        assert D.out_neighbors(v) == {b for a, b in ref if a == v}
+        assert D.in_neighbors(v) == {a for a, b in ref if b == v}
+    # the serialized form is byte for byte the sorted-arc-set listing
+    old = json.dumps({"n": n, "arcs": [[u, v] for (u, v) in sorted(ref)]}, separators=(",", ":"))
+    assert serialize_digraph(D) == old
+    assert parse_digraph(old) == D
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda D: pickle.loads(pickle.dumps(D))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+@pytest.mark.parametrize(
+    "D",
+    [new_digraph(0, []), new_digraph(5, [(1, 2), (2, 3), (3, 1), (1, 3), (4, 5), (5, 4)])],
+    ids=["empty", "five"],
+)
+def test_digraph_copy_and_pickle_round_trip(clone, D):
+    E = clone(D)
+    assert E == D and hash(E) == hash(D) and type(E) is Digraph
+    assert (E.n, E.out_masks, E.in_masks, E.arcs) == (D.n, D.out_masks, D.in_masks, D.arcs)
+    assert serialize_digraph(E) == serialize_digraph(D)
+    assert repr(E) == repr(D)
+    for name, value in (("n", 3), ("out_masks", ()), ("arcs", frozenset())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(E, name, value)
+
+
+# ---------- the vertex-count bound ----------
+
+
+def test_size_bound():
+    assert new_digraph(MAX_N, [(MAX_N, 1)]).has_arc(MAX_N, 1)
+    assert parse_digraph(f'{{"n":{MAX_N},"arcs":[[1,{MAX_N}]]}}').has_arc(1, MAX_N)
+    with pytest.raises(InvalidDigraph, match=f"vertex count {MAX_N + 1} is above the limit of {MAX_N}"):
+        new_digraph(MAX_N + 1, [])
+    for n in (MAX_N + 1, 10**9, 10**100):
+        with pytest.raises(FormatError, match=f"above the limit of {MAX_N}"):
+            parse_digraph(f'{{"n":{n},"arcs":[]}}')

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import rand_packets
 from iccover.codec import TAG_UNCODED
-from iccover.digraph import full_mask, iter_mask_vertices, new_digraph, side_info
+from iccover.digraph import MAX_N, full_mask, iter_mask_vertices, new_digraph, side_info
 from iccover.errors import EmbeddingError, InvalidDigraph, SizeRefusal
 from iccover.oracles import mais, verify_code
 from iccover.schemes import (
@@ -24,6 +24,7 @@ from iccover.schemes import (
     plan_length,
     serialize_report,
 )
+from iccover.template import check_embedding, validate_template
 
 
 def ring(L):
@@ -206,6 +207,9 @@ def test_gap_family_structure():
     assert gap_family(1).arcs == frozenset({(2, 1)})
     with pytest.raises(InvalidDigraph):
         gap_family(0)
+    for k in (MAX_N // 2 + 1, 10**9):
+        with pytest.raises(InvalidDigraph, match=f"above the limit of {MAX_N}"):
+            gap_family(k)
 
 
 def test_gap_values():
@@ -390,3 +394,33 @@ def test_exact_dps_match_reference_on_fixed_cases():
     D = random_digraph(random.Random(12), 12, 0.4)
     assert len(D.arcs) == 57
     assert_dps_match_reference(D)
+
+
+# ---------- every planner piece embeds ----------
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(digraphs(max_n=9))
+def test_every_planner_returns_only_embedded_disjoint_pieces(D):
+    for planner in (cycle_cover, clique_cover, icc_cover):
+        for mode in ("exact", "greedy"):
+            plan = planner(D, mode)
+            covered = []
+            for T, lab in plan.pieces:
+                assert check_embedding(D, T, lab), (planner.__name__, mode, T, lab)
+                covered += lab.values()
+            assert sorted(covered + list(plan.uncovered)) == list(range(1, D.n + 1))
+
+
+def test_planner_pieces_of_one_shape_share_one_template():
+    two_rings = new_digraph(6, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)])
+    two_triangles = new_digraph(6, [(u, v) for u in range(1, 7) for v in range(1, 7) if u != v and (u - 1) // 3 == (v - 1) // 3])
+    # exact icc_cover builds its own templates; greedy starts from cycle pieces
+    cases = [(D, planner, mode) for D, planner in ((two_rings, cycle_cover), (two_triangles, clique_cover)) for mode in ("exact", "greedy")]
+    for D, planner, mode in cases + [(two_rings, icc_cover, "greedy")]:
+        plan = planner(D, mode)
+        (T, lab), (U, other) = plan.pieces
+        assert T is U and set(lab.values()).isdisjoint(other.values())
+        assert verify_code(D, assemble_code(D, plan, rand_packets(16, 6))).valid
+        assert T._sound is True and validate_template(T) == []
+

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iccover.digraph import Cycle, new_digraph, side_info
+from iccover.digraph import MAX_N, Cycle, new_digraph, side_info
 from iccover.errors import EmbeddingError, FormatError, InvalidDigraph, InvalidTemplate
 from iccover.template import (
+    SHARED_SHAPE_MAX,
     IccTemplate,
     _arc_index,
     build_digraph,
@@ -122,10 +123,13 @@ def test_cycle_to_template(L):
 
 def test_cycle_to_template_bad_split():
     cyc = Cycle((1, 2, 3))
-    with pytest.raises(InvalidTemplate):
-        cycle_to_template(cyc, 0)
-    with pytest.raises(InvalidTemplate):
-        cycle_to_template(cyc, 3)
+    # True == 1 and hashes alike: letting it through would file a template
+    # with a bool path length under the key of the (1, 2) shape
+    for split in (0, 3, True, 1.0, "1"):
+        with pytest.raises(InvalidTemplate):
+            cycle_to_template(cyc, split)
+    T, _ = cycle_to_template(cyc, 1)
+    assert T.type_i == (1, 2) and type(T.type_i[0]) is int and validate_template(T) == []
 
 
 @pytest.mark.parametrize("L", range(1, 7))
@@ -144,6 +148,57 @@ def test_clique_to_template_rejects():
         clique_to_template(D, [1, 2, 3])
     with pytest.raises(InvalidDigraph):
         clique_to_template(D, [1, 7])
+
+
+def test_clique_to_template_names_the_first_missing_arc():
+    # pairs (u, v) in ascending order: (1,3) is missing before (3,1) and (3,2)
+    D = new_digraph(3, [(1, 2), (2, 1), (2, 3)])
+    with pytest.raises(EmbeddingError, match=r"missing arc \(1,3\)$"):
+        clique_to_template(D, [3, 2, 1])
+    with pytest.raises(EmbeddingError, match=r"missing arc \(2,3\)$"):
+        clique_to_template(new_digraph(3, [(1, 2), (2, 1), (1, 3), (3, 1)]), [1, 2, 3])
+
+
+def test_pieces_of_one_shape_share_one_template():
+    T, lab = cycle_to_template(Cycle((1, 2, 3, 4, 5)), 3)
+    U, other = cycle_to_template(Cycle((9, 7, 8, 6, 10)), 3)
+    assert U is T and other != lab
+    assert T == IccTemplate(2, (3, 2), {}, {(1, 2): 1, (2, 1): 1})
+    assert cycle_to_template(Cycle((1, 2, 3, 4, 5)), 2)[0] is not T
+    K = new_digraph(7, [(u, v) for u in range(1, 8) for v in range(1, 8) if u != v])
+    C, clab = clique_to_template(K, [1, 2, 3])
+    assert clique_to_template(K, [7, 5, 6])[0] is C and clique_to_template(K, [1, 2])[0] is not C
+    ring = new_digraph(10, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (9, 7), (7, 8), (8, 6), (6, 10), (10, 9)])
+    assert check_embedding(ring, T, lab) and check_embedding(ring, U, other)
+    assert check_embedding(K, C, clab)
+    for shared in (T, C):
+        assert shared._sound is True and validate_template(shared) == []
+    # pieces above SHARED_SHAPE_MAX vertices get templates of their own
+    big = SHARED_SHAPE_MAX + 1
+    K = new_digraph(big, [(u, v) for u in range(1, big + 1) for v in range(1, big + 1) if u != v])
+    for make in (lambda: clique_to_template(K, range(1, big + 1)), lambda: cycle_to_template(Cycle(tuple(range(1, big + 1))), 1)):
+        first, second = make()[0], make()[0]
+        assert first == second and first is not second
+
+
+def test_random_template_size_bound():
+    assert random_template(3, seed=1).k == 3
+    for k, path_len in ((MAX_N + 1, 1), (10**9, 1), (2, 10**9)):
+        with pytest.raises(InvalidTemplate, match=f"limit of {MAX_N}"):
+            random_template(k, path_len)
+
+
+def test_template_size_bound():
+    assert validate_template(IccTemplate(1, (MAX_N,))) == []
+    assert validate_template(IccTemplate(2, (1, 1), {(1, 2): MAX_N - 2}, {(1, 2): 1, (2, 1): 1})) == []
+    over = IccTemplate(2, (1, 1), {(1, 2): MAX_N - 1}, {(1, 2): 1, (2, 1): 1})
+    assert validate_template(over) == [f"template has {MAX_N + 1} vertices, above the limit of {MAX_N}"]
+    # main paths alone over the limit stop validation before the k(k - 1) pairs
+    wide = IccTemplate(10**5, (1,) * 10**5)
+    assert validate_template(wide) == [f"template has at least {10**5} vertices, above the limit of {MAX_N}"]
+    for T in (over, wide, IccTemplate(1, (10**9,))):
+        with pytest.raises(InvalidTemplate):
+            build_digraph(T)
 
 
 def test_random_template_valid_and_deterministic(corpus):
@@ -173,6 +228,8 @@ def test_serialize_template_roundtrip(corpus):
         '{"k":1,"typeI":[1],"typeII":{"bogus":1},"attach":{}}',
         '{"k":1,"typeI":[1],"typeII":{"1,2":"x"},"attach":{}}',
         '{"k":2,"typeI":[1,1],"attach":{"1,2":1,"2,1":1},"x":0}',
+        '{"k":1,"typeI":[1],"typeII":[]}',
+        '{"k":1,"typeI":[1],"attach":5}',
     ],
 )
 def test_parse_template_rejects(text):
