@@ -161,12 +161,6 @@ def _compiled(T: IccTemplate) -> tuple[list[tuple[tuple[int, ...], str]], int, d
     return T._codec
 
 
-def _layout(T: IccTemplate) -> list[tuple[tuple[Coord, ...], str]]:
-    """The rows in coordinate form: path symbols by path then position, bridges by pair, parity last."""
-    coords = _coord_tuple(T)
-    return [(tuple([coords[p] for p in row]), tag) for row, tag in _compiled(T)[0]]
-
-
 def _require_valid(T: IccTemplate) -> None:
     problems = validate_template(T)
     if problems:
@@ -355,7 +349,10 @@ def parse_code(text: str) -> IndexCode:
             m = _SUPPORT_TOKEN.match(token)
             if not m:
                 raise FormatError(f"line {no}: bad message id token {token!r}")
-            ids.append(int(m.group(1)))
+            try:
+                ids.append(int(m.group(1)))
+            except ValueError:  # beyond CPython's digit limit for int conversion
+                raise FormatError(f"line {no}: message id has too many digits") from None
         if len(set(ids)) != len(ids):
             raise FormatError(f"line {no}: duplicate message id in support")
         payload = None

@@ -11,8 +11,13 @@ is the transpose, both built by ``new_digraph`` in one pass over the
 arcs.  The arc set ``arcs`` is derived from ``out_masks`` on each read.
 The bitmask helpers at the bottom (``shortest_cycle_mask`` and friends)
 and the covering and oracle modules traverse the masks directly.
-``pack_cycles`` is the greedy planners' incremental form of repeated
-``shortest_cycle_mask`` calls, each found cycle deleted before the next.
+
+One BFS, ``_start_cycle``, finds the shortest cycle through a start
+vertex, capped at a given length.  ``shortest_cycle_mask`` runs it from
+every start in ascending order, the cap one below the best length found
+so far.  ``pack_cycles`` is the greedy planners' incremental form of
+repeated ``shortest_cycle_mask`` calls, each found cycle deleted before
+the next; it runs the same BFS, capped at the first length in its queue.
 """
 
 from __future__ import annotations
@@ -54,16 +59,9 @@ class Digraph:
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={_sorted_arcs(self.out_masks)})"
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return _is_vertex(self.n, u) and _is_vertex(self.n, v) and self.out_masks[u] >> (v - 1) & 1 == 1
-
     def out_neighbors(self, u: int) -> set[int]:
         _check_vertex(self.n, u)
         return set(iter_mask_vertices(self.out_masks[u]))
-
-    def in_neighbors(self, v: int) -> set[int]:
-        _check_vertex(self.n, v)
-        return set(iter_mask_vertices(self.in_masks[v]))
 
 
 @dataclass(frozen=True)
@@ -84,12 +82,8 @@ class Cycle:
         return len(self.vertices)
 
 
-def _is_vertex(n: int, v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n
-
-
 def _check_vertex(n: int, v) -> None:
-    if not _is_vertex(n, v):
+    if not (isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n):
         raise InvalidDigraph(f"vertex id {v!r} out of range 1..{n}")
 
 
@@ -161,38 +155,28 @@ def enumerate_cycles(D: Digraph, max_count: int = DEFAULT_CYCLE_CAP) -> tuple[tu
     return tuple(found), False
 
 
-def induced_subdigraph(D: Digraph, vertices: Iterable[int]) -> tuple[Digraph, dict[int, int]]:
-    """Restrict D to a vertex set, relabeling to 1..|S| in sorted order.
-
-    Returns (subgraph, mapping) where mapping[new_id] = original id.
-    """
-    vs = sorted(set(vertices))
-    for v in vs:
-        _check_vertex(D.n, v)
-    new_id = {old: idx for idx, old in enumerate(vs, start=1)}
-    arcs = {
-        (new_id[u], new_id[v])
-        for (u, v) in D.arcs
-        if u in new_id and v in new_id
-    }
-    mapping = {idx: old for idx, old in enumerate(vs, start=1)}
-    return new_digraph(len(vs), arcs), mapping
-
-
 def serialize_digraph(D: Digraph) -> str:
     """Canonical JSON: arcs sorted lexicographically, no whitespace variation."""
     obj = {"n": D.n, "arcs": _sorted_arcs(D.out_masks)}  # json writes a tuple as an array
     return json.dumps(obj, separators=(",", ":"))
 
 
-def parse_digraph(text: str) -> Digraph:
-    """Parse the JSON digraph format, reporting the offending field on error."""
+def _load_json(text: str):
+    """json.loads, every failure a FormatError; a plain ValueError is an
+    integer beyond CPython's digit limit for int conversion."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise FormatError("invalid JSON: nested too deeply") from None
+    except ValueError:
+        raise FormatError("invalid JSON: an integer has too many digits") from None
+
+
+def parse_digraph(text: str) -> Digraph:
+    """Parse the JSON digraph format, reporting the offending field on error."""
+    obj = _load_json(text)
     if not isinstance(obj, dict):
         raise FormatError("top-level value must be an object")
     extra = set(obj) - {"n", "arcs"}
@@ -263,48 +247,24 @@ def shortest_cycle_mask(out_m: tuple[int, ...], mask: int) -> tuple[int, ...] | 
     to s) is the smallest of the in-neighbours of s nearest to s, and the
     path s -> u is the lexicographically smallest shortest such path.
 
-    Start vertices go in ascending order, each with a level-synchronous
-    bitset BFS.  Two prunes keep it fast without changing the result:
-
-    - The BFS from s sees only the mask's vertices above s.  A shortest
-      cycle through s that contains a smaller vertex v was already found
-      from v, at no greater length, and on equal length the earlier start
-      wins.
-    - The BFS stops before any level whose closing arc would give a cycle
-      no shorter than the best so far, and a 2-cycle ends the search,
-      since no cycle is shorter.
+    Start vertices go in ascending order, each with one _start_cycle BFS
+    through the mask's vertices above s: a shortest cycle through s that
+    contains a smaller vertex v was already found from v, at no greater
+    length, and on equal length the earlier start wins.  The BFS is capped
+    at cap levels, which starts at |mask| and falls to one below the
+    length of each cycle found, so a later start wins only when strictly
+    shorter; the search ends once cap < 2, since no cycle is shorter
+    than 2.
     """
     best: tuple[int, ...] | None = None
-    best_len = mask.bit_count() + 1
+    cap = mask.bit_count()
     rest = mask
-    while rest:
+    while rest and cap >= 2:
         sbit = rest & -rest
         rest ^= sbit  # now exactly the mask's vertices above s
-        levels = [sbit]
-        seen = frontier = sbit
-        while len(levels) < best_len:
-            # frontier is level d = len(levels) - 1; a closing arc from it
-            # makes a cycle of length d + 1 < best_len
-            nxt = u = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                arcs = out_m[b.bit_length()]
-                if arcs & sbit:
-                    u = b
-                    break
-                nxt |= arcs
-            if u:
-                best, best_len = _lexmin_path(out_m, levels, u), len(levels)
-                break
-            frontier = nxt & rest & ~seen
-            if not frontier:
-                break
-            seen |= frontier
-            levels.append(frontier)
-        if best_len == 2:
-            break
+        got = _start_cycle(out_m, sbit, rest, cap)
+        if got is not None and got[1] is not None:
+            cap, best = got[0] - 1, got[1]
     return best
 
 

@@ -61,13 +61,15 @@ class CoverPlan:
 def make_plan(D: Digraph, pieces: list[Piece]) -> CoverPlan:
     """Wrap disjoint embedded pieces as a CoverPlan, uncovered = complement.
 
-    Raises EmbeddingError when a piece does not embed in D or two pieces
-    share a vertex.
+    Raises EmbeddingError when a piece does not embed in D, labels keys
+    beyond its template's coordinates, or shares a vertex with another.
     """
     covered: set[int] = set()
     for idx, (T, lab) in enumerate(pieces, start=1):
         if not check_embedding(D, T, lab):
             raise EmbeddingError(f"piece {idx} does not embed in the digraph")
+        if len(lab) != T.n:  # every coordinate is labeled, so a key is extra
+            raise EmbeddingError(f"piece {idx} labels keys beyond its template's coordinates")
         vs = set(lab.values())
         if vs & covered:
             raise EmbeddingError(f"piece {idx} overlaps an earlier piece at {sorted(vs & covered)}")

@@ -174,21 +174,13 @@ def mais(D: Digraph, bound: int = DEFAULT_MAIS_BOUND) -> int:
 
     Branch and bound on the complement problem (fewest vertices whose
     removal kills every cycle): branch over the vertices of a shortest
-    cycle, prune with a greedy disjoint-cycle lower bound.
+    cycle, prune with a greedy disjoint-cycle lower bound.  The first leaf
+    deletes the first vertex of each shortest cycle in turn, so the search
+    starts from that greedy cut.
     """
     if D.n > bound:
         raise SizeRefusal(f"exact acyclic-set search is limited to {bound} vertices (digraph has {D.n})")
-    out_m = D.out_masks
-    full = full_mask(D.n)
-    # greedy feasible start: delete the first vertex of each shortest cycle
-    m, removed = full, 0
-    while True:
-        cyc = shortest_cycle_mask(out_m, m)
-        if cyc is None:
-            break
-        m &= ~(1 << (cyc[0] - 1))
-        removed += 1
-    return D.n - _min_cycle_cut(out_m, full, 0, removed)
+    return D.n - _min_cycle_cut(D.out_masks, full_mask(D.n), 0, D.n)
 
 
 def _disjoint_cycles(out_m: tuple[int, ...], mask: int) -> tuple[int, tuple[int, ...] | None]:

@@ -236,8 +236,9 @@ def icc_cover(D: Digraph, mode: str = "exact", exact_bound: int = DEFAULT_EXACT_
 def assemble_code(D: Digraph, plan: CoverPlan, packets: PacketVector | None = None) -> IndexCode:
     """Concatenate per-piece codes, then uncoded symbols for leftovers.
 
-    Re-checks that the plan's pieces embed in D and partition 1..n with
-    the uncovered set before emitting anything.
+    Re-checks that the plan's pieces embed in D, label only their
+    templates' coordinates, and partition 1..n with the uncovered
+    vertices, none repeated, before emitting anything.
     """
     if packets is not None and len(packets.packets) != D.n:
         raise InvalidCode(f"expected {D.n} packets, got {len(packets.packets)}")
@@ -245,12 +246,14 @@ def assemble_code(D: Digraph, plan: CoverPlan, packets: PacketVector | None = No
     for T, lab in plan.pieces:
         if not check_embedding(D, T, lab):
             raise EmbeddingError("plan piece does not embed into the host digraph")
+        if len(lab) != T.n:  # every coordinate is labeled, so a key is extra
+            raise EmbeddingError("plan piece labels keys beyond its template's coordinates")
         vs = set(lab.values())
         if vs & seen:
             raise EmbeddingError("plan pieces share vertices")
         seen |= vs
     leftover = set(plan.uncovered)
-    if seen & leftover or len(seen) + len(leftover) != D.n or not (seen | leftover) <= set(range(1, D.n + 1)):
+    if seen & leftover or len(leftover) != len(plan.uncovered) or seen | leftover != set(range(1, D.n + 1)):
         raise EmbeddingError("plan does not partition the vertex set")
     symbols: list[CodedSymbol] = []
     ops = 0

@@ -30,7 +30,7 @@ from itertools import accumulate, permutations
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .digraph import MAX_N, Cycle, Digraph, new_digraph
+from .digraph import MAX_N, Cycle, Digraph, _load_json, new_digraph
 from .errors import EmbeddingError, FormatError, InvalidDigraph, InvalidTemplate
 
 Coord = tuple  # (i, a) for Type-I, (i, j, a) for Type-II
@@ -174,12 +174,6 @@ def _template_problems(T: IccTemplate) -> list[str]:
     if T.n > MAX_N:
         problems.append(f"template has {T.n} vertices, above the limit of {MAX_N}")
     return problems
-
-
-def template_arcs(T: IccTemplate) -> list[tuple[Coord, Coord]]:
-    """Arcs of the built digraph in coordinate form (assumes a valid template)."""
-    coords = _coord_tuple(T)
-    return [(coords[a], coords[b]) for a, b in _arc_index(T)]
 
 
 def _arc_index(T: IccTemplate) -> tuple[tuple[int, int], ...]:
@@ -352,12 +346,7 @@ def _parse_pair_key(field_name: str, key: str) -> tuple[int, int]:
 
 def parse_template(text: str) -> IccTemplate:
     """Parse the JSON template format; missing typeII entries default to 0."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    except RecursionError:
-        raise FormatError("invalid JSON: nested too deeply") from None
+    obj = _load_json(text)
     if not isinstance(obj, dict):
         raise FormatError("top-level value must be an object")
     extra = set(obj) - {"k", "typeI", "typeII", "attach"}

@@ -9,6 +9,7 @@ import pytest
 
 from iccover import IccTemplate, new_digraph, random_template
 from iccover.codec import new_packet_vector, packet_bytes
+from iccover.template import _arc_index
 
 DATA = Path(__file__).parent / "data"
 
@@ -68,6 +69,12 @@ def d2_template():
     )
     labeling = {(1, 1): 1, (2, 1): 4, (2, 2): 2, (3, 1): 5, (3, 2): 3}
     return T, labeling
+
+
+def template_arcs(T):
+    """Arcs of the built digraph in coordinate form (T must be sound)."""
+    coords = T.coords()
+    return [(coords[a], coords[b]) for a, b in _arc_index(T)]
 
 
 def rand_packets(t, n, rng=None):

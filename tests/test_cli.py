@@ -4,9 +4,14 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iccover.cli import main
-from iccover.digraph import new_digraph, serialize_digraph
+from iccover.codec import parse_code, parse_packets, parse_side
+from iccover.digraph import new_digraph, parse_digraph, serialize_digraph
+from iccover.errors import FormatError
+from iccover.template import parse_template
 
 DATA = Path(__file__).parent / "data"
 
@@ -223,8 +228,21 @@ def test_unknown_command():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", [["compare", "--digraph"], ["gen-icc", "--template"]], ids=["digraph", "template"])
-@pytest.mark.parametrize("raw", [b"\xff\xfe", b"[" * 200000], ids=["not-utf8", "deeply-nested"])
+# integers longer than CPython's 4,300-digit conversion limit, in JSON and as a code's message id
+HUGE_INT_JSON = b'{"n":' + b"1" * 5000 + b',"arcs":[]}'
+HUGE_ID_CODE = b"x" + b"1" * 5000 + b"\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["compare", "--digraph"], ["gen-icc", "--template"], ["verify", "--digraph", str(DATA / "d1.json"), "--code"]],
+    ids=["digraph", "template", "code"],
+)
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xff\xfe", b"[" * 200000, HUGE_INT_JSON, HUGE_ID_CODE],
+    ids=["not-utf8", "deeply-nested", "huge-int", "huge-id"],
+)
 def test_hostile_input_is_one_error_line(tmp_path, capsys, command, raw):
     f = tmp_path / "hostile.json"
     f.write_bytes(raw)
@@ -232,6 +250,30 @@ def test_hostile_input_is_one_error_line(tmp_path, capsys, command, raw):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# JSON values, the two file objects with fields of any JSON type, and short
+# line-based listings: each reaches past the first checks of its parser
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(["1,2", "2,1", "1,1", "x"]), inner, max_size=3),
+    max_leaves=10,
+)
+_objects = st.fixed_dictionaries({"n": _json, "arcs": _json}) | st.fixed_dictionaries(
+    {"k": st.integers(0, 3) | _json, "typeI": st.lists(st.integers(0, 3), max_size=3) | _json},
+    optional={"typeII": _json, "attach": _json},
+)
+_listings = st.lists(st.text(alphabet="tx0123456789abcdef+= -_\t", max_size=12), max_size=5).map("\n".join)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.text() | (_json | _objects).map(json.dumps) | _listings)
+def test_parsers_return_or_raise_format_error(text):
+    for parse in (parse_digraph, parse_template, parse_code, parse_packets, parse_side):
+        try:
+            parse(text)
+        except FormatError:
+            pass
 
 
 def _one_error_line(capsys, needle):

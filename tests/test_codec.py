@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import replace
 from functools import reduce
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_packets
+from conftest import rand_packets, template_arcs
 from iccover import codec
 from iccover.codec import (
     TAG_BRIDGE,
@@ -39,7 +40,7 @@ from iccover.errors import (
     MissingCodedSymbol,
     MissingSidePacket,
 )
-from iccover.template import IccTemplate, build_digraph, random_template, template_arcs, validate_template
+from iccover.template import IccTemplate, build_digraph, random_template, validate_template
 
 
 def test_packet_vector_validation():
@@ -240,6 +241,13 @@ def test_parse_code_rejects(text):
         parse_code(text)
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit on this Python")
+def test_parse_code_reports_overlong_id_by_line():
+    # int() refuses more than sys.get_int_max_str_digits() digits with a plain ValueError
+    with pytest.raises(FormatError, match="^line 2: message id has too many digits$"):
+        parse_code("x1\nx" + "1" * (sys.get_int_max_str_digits() + 1) + "\n")
+
+
 def test_packets_roundtrip():
     pv = rand_packets(13, 6)
     s = serialize_packets(pv)
@@ -336,7 +344,7 @@ def _reference_encode(T, labeling, packets=None):
                 raise InvalidCode(f"message id {m} outside packet vector of size {len(packets.packets)}")
     ops = 0
     symbols = []
-    for row, tag in codec._layout(T):
+    for row, tag in _layout(T):
         row_ids = [labeling[c] for c in row]
         payload = None
         if packets is not None:
@@ -502,6 +510,12 @@ def test_parse_packets_reports_padding_by_line():
         new_packet_vector(3, [b"\xff"])
 
 
+def _layout(T):
+    """The compiled emission rows in coordinate form."""
+    coords = T.coords()
+    return [(tuple([coords[p] for p in row]), tag) for row, tag in codec._compiled(T)[0]]
+
+
 def _reference_layout(T):
     """The emission rows as the coordinate walk listed them before they were compiled."""
     rows = []
@@ -521,7 +535,7 @@ def _reference_layout(T):
 def test_compiled_rows_match_coordinate_walk(k, max_path_len, density, seed):
     T = random_template(k, max_path_len, density, seed)
     expected = _reference_layout(T)
-    assert codec._layout(T) == expected
+    assert _layout(T) == expected
     pos = {c: p for p, c in enumerate(T.coords())}
     rows, xor_terms, _ = codec._compiled(T)
     assert [(tuple(pos[c] for c in row), tag) for row, tag in expected] == list(rows)

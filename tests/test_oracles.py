@@ -140,6 +140,20 @@ def test_mais_agrees_with_exhaustive_randomly():
         assert mais(D) == mais_exhaustive(D)
 
 
+@st.composite
+def seeded_digraphs(draw, max_n=12):
+    # a drawn seed, not st.randoms(): that draws each of the n^2 coin flips
+    n = draw(st.integers(0, max_n))
+    rng, p = random.Random(draw(st.integers(0, 2**32))), draw(st.floats(0.0, 1.0))
+    return new_digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v and rng.random() < p])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seeded_digraphs())
+def test_mais_matches_exhaustive_property(D):
+    assert mais(D) == mais_exhaustive(D)
+
+
 def test_mais_bounds():
     D = new_digraph(13, [])
     with pytest.raises(SizeRefusal):

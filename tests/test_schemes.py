@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import rand_packets
 from iccover.codec import TAG_UNCODED
-from iccover.digraph import MAX_N, full_mask, iter_mask_vertices, new_digraph, side_info
+from iccover.digraph import MAX_N, Cycle, full_mask, iter_mask_vertices, new_digraph, side_info
 from iccover.errors import EmbeddingError, InvalidDigraph, SizeRefusal
+from iccover.finder import CoverPlan, make_plan
 from iccover.oracles import mais, verify_code
 from iccover.schemes import (
     _exact_clique_partition,
@@ -24,7 +25,7 @@ from iccover.schemes import (
     plan_length,
     serialize_report,
 )
-from iccover.template import check_embedding, validate_template
+from iccover.template import check_embedding, cycle_to_template, validate_template
 
 
 def ring(L):
@@ -127,6 +128,27 @@ def test_assemble_code_rejects_foreign_plan(d1, d2):
         assemble_code(d1, plan)
 
 
+def test_plan_with_extra_labeling_key_is_refused():
+    # the extra key's vertex 3 would count as covered, yet no symbol sends x3
+    D = new_digraph(4, [(1, 2), (2, 1), (3, 4)])
+    T, lab = cycle_to_template(Cycle((1, 2)), 1)
+    lab = {**lab, ("extra",): 3}
+    with pytest.raises(EmbeddingError, match="keys beyond"):
+        make_plan(D, [(T, lab)])
+    with pytest.raises(EmbeddingError, match="keys beyond"):
+        assemble_code(D, CoverPlan(((T, lab),), (4,)))
+
+
+def test_plan_with_repeated_uncovered_vertex_is_refused():
+    D = new_digraph(3, [(1, 2), (2, 1)])
+    piece = cycle_to_template(Cycle((1, 2)), 1)
+    plan = CoverPlan((piece,), (3, 3))
+    assert plan_length(D, plan) == 2
+    with pytest.raises(EmbeddingError, match="does not partition"):
+        assemble_code(D, plan)
+    assert assemble_code(D, CoverPlan((piece,), (3,))).length == 2
+
+
 def test_compare_reports(d1, d2):
     assert serialize_report(compare(d1)) == (
         '{"n":6,"l_cyc":5,"l_cc":6,"l_icc":4,"mais":4,"optimal":true}'
@@ -200,9 +222,9 @@ def test_gap_family_structure():
         assert D.n == 2 * k
         assert len(D.arcs) == k + k * (k - 1)
         for i in range(1, k + 1):
-            assert D.has_arc(k + i, i)
+            assert (k + i, i) in D.arcs
             for j in range(1, k + 1):
-                assert D.has_arc(i, k + j) == (i != j)
+                assert ((i, k + j) in D.arcs) == (i != j)
     # k=1 degenerates to one uninformed receiver
     assert gap_family(1).arcs == frozenset({(2, 1)})
     with pytest.raises(InvalidDigraph):

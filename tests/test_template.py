@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import template_arcs
 from iccover.digraph import MAX_N, Cycle, new_digraph, side_info
 from iccover.errors import EmbeddingError, FormatError, InvalidDigraph, InvalidTemplate
 from iccover.template import (
@@ -20,7 +21,6 @@ from iccover.template import (
     parse_template,
     random_template,
     serialize_template,
-    template_arcs,
     validate_template,
 )
 
