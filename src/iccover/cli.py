@@ -14,7 +14,7 @@ import sys
 
 from .codec import decode_receiver, encode, parse_code, parse_packets, parse_side, serialize_code
 from .digraph import parse_digraph, serialize_digraph
-from .errors import FormatError, IccoverError
+from .errors import FormatError, IccoverError, echo
 from .finder import DEFAULT_EXACT_BOUND
 from .oracles import mais, verify_code
 from .schemes import compare, gap_family, serialize_report
@@ -98,6 +98,7 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache  # argparse takes about 2 ms to build one, and parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="iccover", description="Interlinked-cycle covers for broadcast coding.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -150,15 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built once per process: argparse takes about 2 ms to build one, and
-    # parsing leaves it unchanged
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
+    parser = build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "exact_bound") and args.exact_bound is None:
         raw = os.environ.get("ICC_EXACT_BOUND")
@@ -168,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 args.exact_bound = int(raw)
             except ValueError:
-                parser.error(f"ICC_EXACT_BOUND must be an integer, got {raw!r}")
+                parser.error(f"ICC_EXACT_BOUND must be an integer, got {echo(raw)}")
     try:
         return args.func(args)
     except IccoverError as exc:

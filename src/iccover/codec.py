@@ -9,17 +9,15 @@ padding bits.  The XOR runs on Python ints: byte i of a packet is bits
 the top bits and stay zero.
 
 Each immutable template compiles its codec work once, as coordinate
-positions: its emission rows (read off its arc list) and the decoding
-chain of each coordinate (``_walk``: a path vertex cancels its
-successor's packet out of one pair symbol; a main-path terminal folds
-every other main path into the combined parity, then cancels the
-leftovers with side packets it holds by construction).  ``encode`` calls
-``from_bytes`` once per packet of the piece and ``to_bytes`` once per
-symbol.  ``decode_receiver`` reads a payload's int from the code, which
-converts each payload once, on its first fetch, and calls ``to_bytes``
-once per receiver.  Every entry point calls ``validate_template``, which
-reads the verdict the immutable template keeps; a labeling is the
-caller's dict, so it is checked on every call.
+positions read off its arc list: the emission rows and each position's
+decoding chain (``_chain``).  ``encode`` calls ``from_bytes`` once per
+packet of the piece and ``to_bytes`` once per symbol.
+``decode_receiver`` finds the receiver among the labeling's coordinates,
+reads a payload's int from the code, which converts each payload once,
+on its first fetch, and calls ``to_bytes`` once per receiver.  Every
+entry point calls ``validate_template``, which reads the verdict the
+immutable template keeps; a labeling is the caller's dict, so it is
+checked on every call.
 """
 
 from __future__ import annotations
@@ -37,8 +35,9 @@ from .errors import (
     InvalidTemplate,
     MissingCodedSymbol,
     MissingSidePacket,
+    echo,
 )
-from .template import Coord, IccTemplate, Labeling, _arc_index, _coord_tuple, validate_template
+from .template import IccTemplate, Labeling, _arc_index, _coord_tuple, validate_template
 
 TAG_PATH_I = "path-I"
 TAG_PATH_II = "path-II"
@@ -144,20 +143,23 @@ class IndexCode:
         return {}
 
 
-def _compiled(T: IccTemplate) -> tuple[list[tuple[tuple[int, ...], str]], int, dict]:
-    """T's rows as coordinate positions, their XOR count, and its decoding
-    chains, set on first use.  The pair symbols are T's arcs that leave no
-    main-path terminal, in arc order; the terminals' parity comes last."""
+def _compiled(T: IccTemplate) -> tuple[list[tuple[tuple[int, ...], str]], int, dict, dict, dict]:
+    """T's rows as coordinate positions, their XOR count, each non-terminal's
+    successor, each main-path terminal's out-arc heads and the decoding
+    chains built so far, set on first use.  The pair symbols are T's arcs
+    that leave no terminal, in arc order; the terminals' parity comes last."""
     if T._codec is None:
         ends = list(accumulate(T.type_i))
-        main, terminals = ends[-1], {e - 1 for e in ends}
-        rows = [
-            (arc, TAG_PATH_I if arc[0] < main else TAG_BRIDGE if arc[1] < main else TAG_PATH_II)
-            for arc in _arc_index(T)
-            if arc[0] not in terminals
-        ]
-        rows.append((tuple([e - 1 for e in ends]), TAG_SUM))
-        object.__setattr__(T, "_codec", (rows, sum(len(row) - 1 for row, _ in rows), {}))
+        main, fans = ends[-1], {e - 1: [] for e in ends}
+        rows = []
+        for arc in _arc_index(T):
+            if arc[0] in fans:
+                fans[arc[0]].append(arc[1])
+            else:
+                rows.append((arc, TAG_PATH_I if arc[0] < main else TAG_BRIDGE if arc[1] < main else TAG_PATH_II))
+        succ = dict(row for row, _ in rows)
+        rows.append((tuple(fans), TAG_SUM))  # the terminals, in path order
+        object.__setattr__(T, "_codec", (rows, sum(len(row) - 1 for row, _ in rows), succ, fans, {}))
     return T._codec
 
 
@@ -184,7 +186,7 @@ def encode(T: IccTemplate, labeling: Labeling, packets: PacketVector | None = No
     """Produce the template's index code; payloads are filled when packets are given."""
     _require_valid(T)
     ids = _checked_labeling(T, labeling)
-    rows, xor_terms, _ = _compiled(T)
+    rows, xor_terms = _compiled(T)[:2]
     if packets is not None:
         for m in ids:
             if not 1 <= m <= len(packets.packets):
@@ -216,72 +218,53 @@ def xor_op_count(T: IccTemplate, t: int) -> int:
     return _compiled(T)[1] * t
 
 
-def _walk(T: IccTemplate, coord: Coord):
-    """Decoding steps of the receiver at coord, in coordinate form.
+def _chain(T: IccTemplate, p: int) -> tuple:
+    """Decoding steps of the receiver at position p, cached on the template:
+    (row, None) reads a row's coded symbol, (None, c) the side packet at c.
 
-    (row, None) reads the coded symbol of a row, (None, c) the side packet
-    of c.  A path vertex cancels its successor's packet out of one pair
-    symbol; a main-path terminal folds every other main path (and its
-    connector) into the combined parity, then cancels the leftovers with
-    side packets it holds by construction.
+    A non-terminal cancels its successor's packet out of its row.  A
+    main-path terminal starts from the parity; per out-arc, it folds in
+    the rows along the successor path from the arc's head to the next
+    terminal (sorted tails: main-path rows first, as positions list main
+    paths first), then cancels the head's packet, which it holds by
+    construction.
     """
-    if len(coord) != 2:
-        i, j, a = coord
-        nij = T.n_ij(i, j)
-        row = ((i, j, a), (i, j, a + 1)) if a < nij else ((i, j, nij), (j, T.q(i, j)))
-    elif coord[1] < T.n_i(coord[0]):
-        row = (coord, (coord[0], coord[1] + 1))
-    else:
-        i = coord[0]
-        yield tuple([T.terminal(h) for h in range(1, T.k + 1)]), None
-        for h in range(1, T.k + 1):
-            if h != i:
-                q, nih = T.q(i, h), T.n_ij(i, h)
-                for b in range(q, T.n_i(h)):
-                    yield ((h, b), (h, b + 1)), None
-                for b in range(1, nih):
-                    yield ((i, h, b), (i, h, b + 1)), None
-                if nih:
-                    yield ((i, h, nih), (h, q)), None
-                yield None, (i, h, 1) if nih else (h, q)
-        return
-    yield row, None
-    yield None, row[1]
+    rows, _, succ, fans, chains = _compiled(T)
+    if p not in chains:
+        if p in succ:
+            steps = [((p, succ[p]), None), (None, succ[p])]
+        else:
+            steps = [(rows[-1][0], None)]
+            for head in fans[p]:
+                tails, v = [], head
+                while v in succ:
+                    tails.append(v)
+                    v = succ[v]
+                steps += [((v, succ[v]), None) for v in sorted(tails)]
+                steps.append((None, head))
+        chains[p] = tuple(steps)
+    return chains[p]
 
 
-def _chain(T: IccTemplate, coord) -> tuple | None:
-    """_walk of one of T's coordinates as positions, cached on the template;
-    None for a labeling key that is not one of them."""
-    chains = _compiled(T)[2]
-    if coord not in chains:
-        coords = _coord_tuple(T)
-        if coord not in coords:
-            return None
-        pos = {c: p for p, c in enumerate(coords)}.__getitem__
-        steps = _walk(T, coords[pos(coord)])
-        chains[coord] = tuple([(None, pos(c)) if row is None else (tuple(map(pos, row)), None) for row, c in steps])
-    return chains[coord]
-
-
-def _fold(steps, key, code: IndexCode, side_packets: dict[int, bytes]) -> bytes:
-    """XOR the operands of decoding steps whose coordinates `key` maps to
-    message ids; each operand's width is checked before the next step."""
+def _fold(steps, ids: list[int], code: IndexCode, side_packets: dict[int, bytes]) -> bytes:
+    """XOR the operands of decoding steps, positions read through `ids`;
+    each operand's width is checked before the next step."""
     ints, width, acc = code._ints, None, 0
     for row, c in steps:
         if row is None:
-            m = key(c)
+            m = ids[c]
             if m not in side_packets:
                 raise MissingSidePacket(m)
             x, w = int.from_bytes(side_packets[m], "little"), len(side_packets[m])
         else:
-            support = frozenset(map(key, row))
+            support = frozenset([ids[p] for p in row])
             if support not in ints:
                 sym = code._by_support.get(support)
                 if sym is None:
                     raise MissingCodedSymbol(support)
                 if sym.payload is None:
-                    ids = "+".join(f"x{i}" for i in sorted(support))
-                    raise DecodeFailure(f"coded symbol {ids} carries no payload")
+                    names = "+".join(f"x{i}" for i in sorted(support))
+                    raise DecodeFailure(f"coded symbol {names} carries no payload")
                 ints[support] = (int.from_bytes(sym.payload, "little"), len(sym.payload))
             x, w = ints[support]
         if width is not None and w != width:
@@ -305,15 +288,11 @@ def decode_receiver(
     """
     _require_valid(T)
     ids = _checked_labeling(T, labeling)
-    # the last key holding the receiver's id, as inverting the labeling would give
-    held = list(labeling.values())[::-1]
-    if receiver not in held:
-        raise DecodeFailure(f"receiver {receiver} is not covered by the labeling")
-    coord = list(labeling)[~held.index(receiver)]
-    chain = _chain(T, coord)
-    if chain is None:
-        return _fold(_walk(T, coord), labeling.__getitem__, code, side_packets)
-    return _fold(chain, ids.__getitem__, code, side_packets)
+    try:
+        p = ids.index(receiver)
+    except ValueError:
+        raise DecodeFailure(f"receiver {receiver} is not covered by the labeling") from None
+    return _fold(_chain(T, p), ids, code, side_packets)
 
 
 # ---------- text formats ----------
@@ -343,12 +322,12 @@ def parse_code(text: str) -> IndexCode:
             raise FormatError(f"line {no}: empty line")
         parts = line.split()
         if len(parts) > 2:
-            raise FormatError(f"line {no}: expected 'support [hex]', got {line!r}")
+            raise FormatError(f"line {no}: expected 'support [hex]', got {echo(line)}")
         ids = []
         for token in parts[0].split("+"):
             m = _SUPPORT_TOKEN.match(token)
             if not m:
-                raise FormatError(f"line {no}: bad message id token {token!r}")
+                raise FormatError(f"line {no}: bad message id token {echo(token)}")
             try:
                 ids.append(int(m.group(1)))
             except ValueError:  # beyond CPython's digit limit for int conversion
@@ -358,7 +337,7 @@ def parse_code(text: str) -> IndexCode:
         payload = None
         if len(parts) == 2:
             if not _HEX_TOKEN.match(parts[1]):
-                raise FormatError(f"line {no}: bad payload hex {parts[1]!r}")
+                raise FormatError(f"line {no}: bad payload hex {echo(parts[1])}")
             payload = bytes.fromhex(parts[1])
             if width is None:
                 width = len(payload)
@@ -381,9 +360,9 @@ def _parse_header(lines: list[str]) -> int:
     try:
         t = int(lines[0][2:])
     except ValueError:
-        raise FormatError(f"line 1: bad bit count {lines[0][2:]!r}") from None
+        raise FormatError(f"line 1: bad bit count {echo(lines[0][2:])}") from None
     if t < 1:
-        raise FormatError(f"line 1: bit count must be >= 1, got {t}")
+        raise FormatError(f"line 1: bit count must be >= 1, got {echo(t)}")
     return t
 
 
@@ -391,7 +370,7 @@ def _parse_hex(no: int, token: str, t: int) -> bytes:
     """One t-bit packet from hex: ceil(t/8) bytes, padding bits zero."""
     width = packet_bytes(t)
     if not re.fullmatch(r"[0-9a-f]*", token) or len(token) % 2:
-        raise FormatError(f"line {no}: bad packet hex {token!r}")
+        raise FormatError(f"line {no}: bad packet hex {echo(token)}")
     raw = bytes.fromhex(token)
     if len(raw) != width:
         raise FormatError(f"line {no}: expected {width} bytes, got {len(raw)}")
@@ -421,15 +400,15 @@ def parse_side(text: str) -> tuple[int, dict[int, bytes]]:
     out: dict[int, bytes] = {}
     for no, line in enumerate(lines[1:], start=2):
         if "=" not in line:
-            raise FormatError(f"line {no}: expected 'id=hex', got {line!r}")
+            raise FormatError(f"line {no}: expected 'id=hex', got {echo(line)}")
         left, right = line.split("=", 1)
         try:
             mid = int(left)
         except ValueError:
-            raise FormatError(f"line {no}: bad message id {left!r}") from None
+            raise FormatError(f"line {no}: bad message id {echo(left)}") from None
         if mid < 1:
-            raise FormatError(f"line {no}: message id must be >= 1, got {mid}")
+            raise FormatError(f"line {no}: message id must be >= 1, got {echo(mid)}")
         if mid in out:
-            raise FormatError(f"line {no}: duplicate message id {mid}")
+            raise FormatError(f"line {no}: duplicate message id {echo(mid)}")
         out[mid] = _parse_hex(no, right.strip(), t)
     return t, out

@@ -27,7 +27,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import FormatError, InvalidDigraph
+from .errors import FormatError, InvalidDigraph, echo
 
 DEFAULT_CYCLE_CAP = 10**6
 
@@ -181,25 +181,25 @@ def parse_digraph(text: str) -> Digraph:
         raise FormatError("top-level value must be an object")
     extra = set(obj) - {"n", "arcs"}
     if extra:
-        raise FormatError(f"unknown field {sorted(extra)[0]!r}")
+        raise FormatError(f"unknown field {echo(sorted(extra)[0])}")
     if "n" not in obj or "arcs" not in obj:
         raise FormatError("object must carry fields 'n' and 'arcs'")
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise FormatError(f"field 'n': expected a non-negative integer, got {n!r}")
+        raise FormatError(f"field 'n': expected a non-negative integer, got {echo(n)}")
     if n > MAX_N:
-        raise FormatError(f"field 'n': {n} vertices is above the limit of {MAX_N}")
+        raise FormatError(f"field 'n': {echo(n)} vertices is above the limit of {MAX_N}")
     raw = obj["arcs"]
     if not isinstance(raw, list):
         raise FormatError("field 'arcs': expected a list")
     arcs = []
     for idx, entry in enumerate(raw):
         if not isinstance(entry, list) or len(entry) != 2:
-            raise FormatError(f"arcs[{idx}]: expected a pair [u,v], got {entry!r}")
+            raise FormatError(f"arcs[{idx}]: expected a pair [u,v], got {echo(entry)}")
         u, v = entry
         for end in (u, v):
             if not isinstance(end, int) or isinstance(end, bool) or not 1 <= end <= n:
-                raise FormatError(f"arcs[{idx}]: endpoint {end!r} out of range 1..{n}")
+                raise FormatError(f"arcs[{idx}]: endpoint {echo(end)} out of range 1..{n}")
         if u == v:
             raise FormatError(f"arcs[{idx}]: self-arc ({u},{v}) is not allowed")
         arcs.append((u, v))

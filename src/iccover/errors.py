@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+ECHO_LIMIT = 60
+
+
+def echo(value) -> str:
+    """repr(value) for an error message, cut to ECHO_LIMIT characters plus
+    "..." so that an oversized input gives a short message."""
+    text = repr(value)
+    return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "..."
+
 
 class IccoverError(Exception):
     """Base class for all library errors."""

@@ -31,7 +31,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .digraph import MAX_N, Cycle, Digraph, _load_json, new_digraph
-from .errors import EmbeddingError, FormatError, InvalidDigraph, InvalidTemplate
+from .errors import EmbeddingError, FormatError, InvalidDigraph, InvalidTemplate, echo
 
 Coord = tuple  # (i, a) for Type-I, (i, j, a) for Type-II
 Labeling = dict
@@ -136,14 +136,14 @@ def validate_template(T: IccTemplate) -> list[str]:
 
 def _template_problems(T: IccTemplate) -> list[str]:
     if not _is_count(T.k) or T.k < 1:
-        return [f"k must be a positive integer, got {T.k!r}"]
+        return [f"k must be a positive integer, got {echo(T.k)}"]
     problems: list[str] = []
     if len(T.type_i) != T.k:
         problems.append(f"expected {T.k} main-path lengths, got {len(T.type_i)}")
     else:
         for idx, ln in enumerate(T.type_i, start=1):
             if not _is_count(ln) or ln < 1:
-                problems.append(f"main path {idx}: length must be >= 1, got {ln!r}")
+                problems.append(f"main path {idx}: length must be >= 1, got {echo(ln)}")
     if problems:
         return problems
     if sum(T.type_i) > MAX_N:  # before any walk over the k(k - 1) pairs
@@ -152,19 +152,19 @@ def _template_problems(T: IccTemplate) -> list[str]:
     for key in sorted(T.type_ii, key=repr):
         val = T.type_ii[key]
         if key not in valid_pairs:
-            problems.append(f"connector for nonexistent pair {key!r}")
+            problems.append(f"connector for nonexistent pair {echo(key)}")
         elif not _is_count(val) or val < 0:
-            problems.append(f"connector {key}: length must be >= 0, got {val!r}")
+            problems.append(f"connector {key}: length must be >= 0, got {echo(val)}")
     # a clique's k(k - 1) attachments: sort only the foreign keys
     for key in sorted([key for key in T.attach if key not in valid_pairs], key=repr):
-        problems.append(f"attachment for nonexistent pair {key!r}")
+        problems.append(f"attachment for nonexistent pair {echo(key)}")
     for (i, j) in T.pairs():
         if (i, j) not in T.attach:
             problems.append(f"pair ({i},{j}): no attachment point")
             continue
         q = T.attach[(i, j)]
         if not _is_count(q) or not 1 <= q <= T.n_i(j):
-            problems.append(f"pair ({i},{j}): attachment {q!r} out of range 1..{T.n_i(j)}")
+            problems.append(f"pair ({i},{j}): attachment {echo(q)} out of range 1..{T.n_i(j)}")
     if problems:
         return problems
     if T.k >= 2:
@@ -336,11 +336,11 @@ def serialize_template(T: IccTemplate) -> str:
 def _parse_pair_key(field_name: str, key: str) -> tuple[int, int]:
     parts = key.split(",")
     if len(parts) != 2:
-        raise FormatError(f"field {field_name!r}: key {key!r} is not of the form \"i,j\"")
+        raise FormatError(f"field {field_name!r}: key {echo(key)} is not of the form \"i,j\"")
     try:
         i, j = int(parts[0]), int(parts[1])
     except ValueError:
-        raise FormatError(f"field {field_name!r}: key {key!r} is not of the form \"i,j\"") from None
+        raise FormatError(f"field {field_name!r}: key {echo(key)} is not of the form \"i,j\"") from None
     return i, j
 
 
@@ -351,12 +351,12 @@ def parse_template(text: str) -> IccTemplate:
         raise FormatError("top-level value must be an object")
     extra = set(obj) - {"k", "typeI", "typeII", "attach"}
     if extra:
-        raise FormatError(f"unknown field {sorted(extra)[0]!r}")
+        raise FormatError(f"unknown field {echo(sorted(extra)[0])}")
     if "k" not in obj or "typeI" not in obj:
         raise FormatError("object must carry fields 'k' and 'typeI'")
     k = obj["k"]
     if not _is_count(k):
-        raise FormatError(f"field 'k': expected an integer, got {k!r}")
+        raise FormatError(f"field 'k': expected an integer, got {echo(k)}")
     type_i = obj["typeI"]
     if not isinstance(type_i, list) or not all(_is_count(x) for x in type_i):
         raise FormatError("field 'typeI': expected a list of integers")
@@ -366,11 +366,11 @@ def parse_template(text: str) -> IccTemplate:
     type_ii: dict[tuple[int, int], int] = {}
     for key, val in obj.get("typeII", {}).items():
         if not _is_count(val):
-            raise FormatError(f"field 'typeII': length for {key!r} must be an integer, got {val!r}")
+            raise FormatError(f"field 'typeII': length for {echo(key)} must be an integer, got {echo(val)}")
         type_ii[_parse_pair_key("typeII", key)] = val
     attach: dict[tuple[int, int], int] = {}
     for key, val in obj.get("attach", {}).items():
         if not _is_count(val):
-            raise FormatError(f"field 'attach': position for {key!r} must be an integer, got {val!r}")
+            raise FormatError(f"field 'attach': position for {echo(key)} must be an integer, got {echo(val)}")
         attach[_parse_pair_key("attach", key)] = val
     return IccTemplate(k=k, type_i=tuple(type_i), type_ii=type_ii, attach=attach)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from iccover.cli import main
 from iccover.codec import parse_code, parse_packets, parse_side
 from iccover.digraph import new_digraph, parse_digraph, serialize_digraph
-from iccover.errors import FormatError
-from iccover.template import parse_template
+from iccover.errors import ECHO_LIMIT, FormatError, echo
+from iccover.template import parse_template, validate_template
 
 DATA = Path(__file__).parent / "data"
 
@@ -274,6 +274,47 @@ def test_parsers_return_or_raise_format_error(text):
             parse(text)
         except FormatError:
             pass
+
+
+LONG = "z" * 5000  # not hex, not a number
+
+
+@pytest.mark.parametrize(
+    "parse, text, start",
+    [
+        (parse_digraph, json.dumps({"n": 2, "arcs": [LONG]}), "arcs[0]: expected a pair [u,v], got 'zzz"),
+        (parse_template, json.dumps({"k": LONG, "typeI": [1]}), "field 'k': expected an integer, got 'zzz"),
+        (parse_code, f"x1+{LONG}\n", "line 1: bad message id token 'zzz"),
+        (parse_packets, f"t=8\n{LONG}\n", "line 2: bad packet hex 'zzz"),
+        (parse_side, f"t=8\n{LONG}=00\n", "line 2: bad message id 'zzz"),
+    ],
+    ids=["digraph", "template", "code", "packets", "side"],
+)
+def test_parsers_cut_long_tokens_in_messages(parse, text, start):
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    message = str(exc.value)
+    assert message.startswith(start) and message.endswith("...")
+    assert len(message) < 2 * ECHO_LIMIT
+
+
+def test_template_problems_cut_long_values():
+    T = parse_template(json.dumps({"k": 1, "typeI": [-(10**4000)]}))
+    assert validate_template(T) == [f"main path 1: length must be >= 1, got -1{'0' * (ECHO_LIMIT - 2)}..."]
+
+
+def test_exact_bound_variable_is_cut_in_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("ICC_EXACT_BOUND", LONG)
+    with pytest.raises(SystemExit):
+        main(["compare", "--digraph", str(DATA / "d1.json")])
+    assert capsys.readouterr().err.endswith(f"ICC_EXACT_BOUND must be an integer, got '{'z' * (ECHO_LIMIT - 1)}...\n")
+
+
+def test_echo_keeps_short_values_whole():
+    assert echo("a" * (ECHO_LIMIT - 2)) == repr("a" * (ECHO_LIMIT - 2))
+    assert echo("a" * (ECHO_LIMIT - 1)) == "'" + "a" * (ECHO_LIMIT - 1) + "..."
+    with pytest.raises(FormatError, match="^line 2: bad packet hex 'zz'$"):
+        parse_packets("t=8\nzz\n")
 
 
 def _one_error_line(capsys, needle):

@@ -40,7 +40,14 @@ from iccover.errors import (
     MissingCodedSymbol,
     MissingSidePacket,
 )
-from iccover.template import IccTemplate, build_digraph, random_template, validate_template
+from iccover.template import (
+    IccTemplate,
+    _clique_shape,
+    _cycle_shape,
+    build_digraph,
+    random_template,
+    validate_template,
+)
 
 
 def test_packet_vector_validation():
@@ -357,7 +364,7 @@ def _reference_encode(T, labeling, packets=None):
 def _reference_decode(T, labeling, code, receiver, side_packets):
     """decode_receiver inverting the labeling and indexing the code on every call."""
     _reference_labeling_ids(T, labeling)
-    inverse = {m: c for c, m in labeling.items()}
+    inverse = {labeling[c]: c for c in T.coords()}
     coord = inverse.get(receiver)
     if coord is None:
         raise DecodeFailure(f"receiver {receiver} is not covered by the labeling")
@@ -537,9 +544,77 @@ def test_compiled_rows_match_coordinate_walk(k, max_path_len, density, seed):
     expected = _reference_layout(T)
     assert _layout(T) == expected
     pos = {c: p for p, c in enumerate(T.coords())}
-    rows, xor_terms, _ = codec._compiled(T)
+    rows, xor_terms = codec._compiled(T)[:2]
     assert [(tuple(pos[c] for c in row), tag) for row, tag in expected] == list(rows)
     assert xor_terms * 7 == xor_op_count(T, 7) == sum((len(row) - 1) * 7 for row, _ in expected)
+
+
+def _reference_walk(T, coord):
+    """Decoding steps of the receiver at coord, in coordinate form, as the
+    codec walked them from n_i, n_ij and q before it read the arc list.
+
+    (row, None) reads the coded symbol of a row, (None, c) the side packet
+    of c.
+    """
+    if len(coord) != 2:
+        i, j, a = coord
+        nij = T.n_ij(i, j)
+        row = ((i, j, a), (i, j, a + 1)) if a < nij else ((i, j, nij), (j, T.q(i, j)))
+    elif coord[1] < T.n_i(coord[0]):
+        row = (coord, (coord[0], coord[1] + 1))
+    else:
+        i = coord[0]
+        yield tuple([T.terminal(h) for h in range(1, T.k + 1)]), None
+        for h in range(1, T.k + 1):
+            if h != i:
+                q, nih = T.q(i, h), T.n_ij(i, h)
+                for b in range(q, T.n_i(h)):
+                    yield ((h, b), (h, b + 1)), None
+                for b in range(1, nih):
+                    yield ((i, h, b), (i, h, b + 1)), None
+                if nih:
+                    yield ((i, h, nih), (h, q)), None
+                yield None, (i, h, 1) if nih else (h, q)
+        return
+    yield row, None
+    yield None, row[1]
+
+
+def _assert_chains_match_walk(T):
+    coords = T.coords()
+    pos = {c: p for p, c in enumerate(coords)}
+    for p, coord in enumerate(coords):
+        expected = tuple(
+            (None, pos[c]) if row is None else (tuple(pos[x] for x in row), None) for row, c in _reference_walk(T, coord)
+        )
+        assert codec._chain(T, p) == expected, (T, coord)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(k=st.integers(1, 6), max_path_len=st.integers(1, 4), density=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**16))
+def test_chains_match_reference_walk(k, max_path_len, density, seed):
+    _assert_chains_match_walk(random_template(k, max_path_len, density, seed))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (3, 2), (5, 5), 1, 2, 5, 12])
+def test_shared_shape_chains_match_reference_walk(shape):
+    _assert_chains_match_walk(_cycle_shape(*shape) if isinstance(shape, tuple) else _clique_shape(shape))
+
+
+@pytest.mark.parametrize("key", [(1, 9), (9, 1), None, (1, 1, 1)])
+def test_foreign_labeling_keys_do_not_name_receivers(key):
+    """Only coordinates are looked up: a foreign key repeating a
+    coordinate's id decodes that coordinate's packet, and a receiver held
+    only by a foreign key is not covered."""
+    T = IccTemplate(2, (2, 1), {(1, 2): 2}, {(1, 2): 1, (2, 1): 1})
+    _, lab = build_digraph(T)
+    pv = new_packet_vector(8, [bytes([0x11 * m]) for m in range(1, T.n + 2)])
+    code = encode(T, lab, pv)
+    side = {m: pv.packet(m) for m in range(1, T.n + 2) if m != 5}
+    assert lab[(1, 2, 2)] == 5
+    assert decode_receiver(T, {**lab, key: 5}, code, 5, side) == b"\x55"
+    with pytest.raises(DecodeFailure, match="^receiver 6 is not covered by the labeling$"):
+        decode_receiver(T, {**lab, key: 6}, code, 6, side)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
