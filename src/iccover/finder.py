@@ -7,7 +7,8 @@ subset S is shorter than mais(S), the order of its largest acyclic
 induced subgraph, so a piece on S saves at most |S| - mais(S).  Subsets
 are visited in ascending mask order, which settles the best partition b
 of S into smaller pieces first; S is searched for an embedding only when
-|S| - mais(S) > b, and then only for k in b + 2 .. |S| - mais(S) + 1.
+|S| - mais(S) > b, and then only for k in b + 2 .. |S| - mais(S) + 1,
+and only on terminal sets in which every terminal reaches every other.
 Greedy mode packs shortest cycles first (each a k = 2 piece) and then
 tries to merge pieces pairwise into higher-k templates, skipping pairs
 with arcs one way only between them: two disjoint such pieces have a
@@ -156,9 +157,10 @@ class _EmbeddingSearch:
     leftover vertices are assigned to connector paths pivot-first.  The
     first embedding found under this order is the canonical one.  Branches
     are cut only where they must fail: a terminal lacking k - 1 out-arcs
-    inside the subset, or fewer leftover vertices than the ordered pairs
-    whose terminal has no arc onto the other path (each such pair needs a
-    nonempty connector path of its own).
+    inside the subset, a terminal set in which some terminal cannot reach
+    another through non-terminals, or fewer leftover vertices than the
+    ordered pairs whose terminal has no arc onto the other path (each such
+    pair needs a nonempty connector path of its own).
 
     The attempt in progress (terminals, main paths, ordered pairs) lives
     on the object, so the recursive steps are methods rather than nested
@@ -180,7 +182,7 @@ class _EmbeddingSearch:
         if len(verts) < 2 or not strongly_connected_mask(out_m, in_m, mask):
             return None
         # a terminal needs k-1 outgoing arcs inside the subset
-        deg = {v: bin(out_m[v] & mask).count("1") for v in verts}
+        deg = {v: (out_m[v] & mask).bit_count() for v in verts}
         degs = sorted(deg.values(), reverse=True)
         top = len(verts) if kmax is None else min(kmax, len(verts))
         for k in range(top, kmin - 1, -1):
@@ -188,10 +190,26 @@ class _EmbeddingSearch:
                 continue
             cands = [v for v in verts if deg[v] >= k - 1]
             for terms in combinations(cands, k):
-                found = self._embed(mask, terms)
-                if found is not None:
-                    return (k, *found)
+                if self._linked(mask, terms):
+                    found = self._embed(mask, terms)
+                    if found is not None:
+                        return (k, *found)
         return None
+
+    def _linked(self, mask: int, terms: tuple[int, ...]) -> bool:
+        # terminal i reaches terminal j through connector (i, j) and then
+        # main path j, and neither holds another terminal: so the out-arcs
+        # of what i reaches through non-terminals must hit every terminal
+        out_m = self.out_m
+        term_mask = sum([1 << (t - 1) for t in terms])
+        inner = mask & ~term_mask
+        for t in terms:
+            hit = 0
+            for v in iter_mask_vertices(_reach_mask(out_m, inner, 1 << (t - 1))):
+                hit |= out_m[v]
+            if term_mask & ~hit & ~(1 << (t - 1)):
+                return False
+        return True
 
     def _embed(self, mask: int, terms: tuple[int, ...]) -> tuple[IccTemplate, Labeling] | None:
         k = len(terms)
@@ -306,7 +324,7 @@ class _EmbeddingSearch:
         # a pair whose terminal has no arc onto the other path needs a
         # nonempty connector path of its own, drawn from the pool
         bare = sum(1 for (i, j) in self.allpairs if not out_m[terms[i - 1]] & path_sets[j - 1])
-        if bare > bin(pool).count("1"):
+        if bare > pool.bit_count():
             return None
         enter = []
         for ps in path_sets:
@@ -347,25 +365,32 @@ class _EmbeddingSearch:
         return None
 
 
-def _mais_table(in_m: tuple[int, ...], n: int) -> list[int]:
+def _mais_table(out_m: tuple[int, ...], in_m: tuple[int, ...], n: int) -> list[int]:
     """mais(S) for every vertex subset S of an n-vertex digraph, by bitmask.
 
-    A source of the induced subgraph lies on no cycle, so it joins every
-    acyclic subset: mais(S) = mais(S - v) + 1.  Without a source, some
-    vertex is left out: mais(S) = max over v of mais(S - v).
+    A source or a sink of the induced subgraph lies on no cycle, so it
+    joins every acyclic subset: mais(S) = mais(S - v) + 1.  Without one,
+    some vertex is left out: mais(S) = max over v of mais(S - v).  Since
+    mais(S - v) <= mais(S) <= mais(S - v) + 1 for every v, the scan stops
+    at the first mais(S - v) that differs from mais(S - low): the larger
+    of the two is mais(S).
     """
     table = [0] * (1 << n)
     for mask in range(1, 1 << n):
-        best = 0
         m = mask
+        best = table[mask ^ (mask & -mask)]
         while m:
             b = m & -m
             m ^= b
-            if not in_m[b.bit_length()] & mask:
-                best = table[mask ^ b] + 1
+            got = table[mask ^ b]
+            if got != best:
+                if got > best:
+                    best = got
                 break
-            if table[mask ^ b] > best:
-                best = table[mask ^ b]
+            v = b.bit_length()
+            if not in_m[v] & mask or not out_m[v] & mask:
+                best += 1
+                break
         table[mask] = best
     return table
 
@@ -373,7 +398,7 @@ def _mais_table(in_m: tuple[int, ...], n: int) -> list[int]:
 def _exact_cover(D: Digraph) -> list[Piece]:
     if is_acyclic_mask(D.in_masks, full_mask(D.n)):
         return []
-    mais_of = _mais_table(D.in_masks, D.n)
+    mais_of = _mais_table(D.out_masks, D.in_masks, D.n)
     search = _EmbeddingSearch(D.out_masks, D.in_masks)
     emb: dict[int, Embedding] = {}
 

@@ -174,13 +174,15 @@ def mais(D: Digraph, bound: int = DEFAULT_MAIS_BOUND) -> int:
 
     Branch and bound on the complement problem (fewest vertices whose
     removal kills every cycle): branch over the vertices of a shortest
-    cycle, prune with a greedy disjoint-cycle lower bound.  The first leaf
-    deletes the first vertex of each shortest cycle in turn, so the search
-    starts from that greedy cut.
+    cycle, the i-th branch removing its i-th vertex and keeping the ones
+    before it, so that no cut is searched twice; prune with a greedy
+    disjoint-cycle lower bound.  The first leaf deletes the first vertex
+    of each shortest cycle in turn, so the search starts from that greedy
+    cut.
     """
     if D.n > bound:
         raise SizeRefusal(f"exact acyclic-set search is limited to {bound} vertices (digraph has {D.n})")
-    return D.n - _min_cycle_cut(D.out_masks, full_mask(D.n), 0, D.n)
+    return D.n - _min_cycle_cut(D.out_masks, full_mask(D.n), 0, 0, D.n)
 
 
 def _disjoint_cycles(out_m: tuple[int, ...], mask: int) -> tuple[int, tuple[int, ...] | None]:
@@ -198,16 +200,21 @@ def _disjoint_cycles(out_m: tuple[int, ...], mask: int) -> tuple[int, tuple[int,
             mask &= ~(1 << (v - 1))
 
 
-def _min_cycle_cut(out_m: tuple[int, ...], mask: int, removed: int, best: int) -> int:
-    """Fewest removals (already removed ones counted) leaving mask acyclic,
-    or best when no cut beats it."""
+def _min_cycle_cut(out_m: tuple[int, ...], mask: int, keep: int, removed: int, best: int) -> int:
+    """Fewest removals (already removed ones counted) leaving mask acyclic
+    without removing a vertex of keep, or best when no cut beats it."""
     lb, first = _disjoint_cycles(out_m, mask)
     if removed + lb >= best:
         return best
     if first is None:
         return removed
+    # branch i removes the i-th vertex and keeps the ones before it, so
+    # no two branches search the same cut
     for v in first:
-        best = _min_cycle_cut(out_m, mask & ~(1 << (v - 1)), removed + 1, best)
+        bit = 1 << (v - 1)
+        if not keep & bit:
+            best = _min_cycle_cut(out_m, mask & ~bit, keep, removed + 1, best)
+            keep |= bit
     return best
 
 
@@ -218,7 +225,7 @@ def mais_exhaustive(D: Digraph, bound: int = EXHAUSTIVE_MAIS_BOUND) -> int:
     in_m = D.in_masks
     best = 0
     for mask in range(full_mask(D.n) + 1):
-        size = bin(mask).count("1")
+        size = mask.bit_count()
         if size > best and is_acyclic_mask(in_m, mask):
             best = size
     return best

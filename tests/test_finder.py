@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -138,13 +139,25 @@ def digraphs(draw, max_n=8):
     return random_digraph(draw(st.randoms(use_true_random=False)), n, p)
 
 
+def unpruned_max_piece(search, mask, kmin=2, kmax=None):
+    """max_piece with no cut: every terminal set of every k goes to _embed."""
+    verts = [v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1]
+    top = len(verts) if kmax is None else min(kmax, len(verts))
+    for k in range(top, kmin - 1, -1):
+        for terms in combinations(verts, k):
+            found = search._embed(mask, terms)
+            if found is not None:
+                return (k, *found)
+    return None
+
+
 def unpruned_exact_plan(D):
     """Exact plan scoring every subset at its largest k, then packing."""
     search = _EmbeddingSearch(D.out_masks, D.in_masks)
     full = full_mask(D.n)
     emb, by_low = {}, {}
     for mask in range(1, full + 1):
-        got = search.max_piece(mask)
+        got = unpruned_max_piece(search, mask)
         if got is not None:
             emb[mask] = got
             by_low.setdefault(mask & -mask, []).append(mask)
@@ -181,11 +194,25 @@ def test_exact_plan_matches_unpruned_search(D):
     assert plan_length(D, plan) >= mais(D)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(digraphs())
+def test_max_piece_matches_unpruned_search(D):
+    search = _EmbeddingSearch(D.out_masks, D.in_masks)
+    for mask in range(1, full_mask(D.n) + 1):
+        size = mask.bit_count()
+        at = {k: unpruned_max_piece(search, mask, k, k) for k in range(2, size + 1)}
+        for kmin in range(2, size + 1):
+            for kmax in (*range(kmin, size + 1), None):
+                top = size if kmax is None else kmax
+                want = next((at[k] for k in range(top, kmin - 1, -1) if at[k] is not None), None)
+                assert search.max_piece(mask, kmin, kmax) == want, (mask, kmin, kmax)
+
+
 def test_mais_table_matches_exhaustive():
     rng = random.Random(11)
     for n, p in ((5, 0.5), (6, 0.3), (7, 0.35), (7, 0.6)):
         D = random_digraph(rng, n, p)
-        table = _mais_table(D.in_masks, n)
+        table = _mais_table(D.out_masks, D.in_masks, n)
         for mask in range(full_mask(n) + 1):
             # the largest submask of mask that induces no cycle
             sub, best = mask, 0

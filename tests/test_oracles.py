@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from iccover.codec import IndexCode, CodedSymbol, encode
 from iccover.digraph import new_digraph, side_info
-from iccover.schemes import assemble_code, clique_cover, cycle_cover, icc_cover
+from iccover.schemes import assemble_code, clique_cover, cycle_cover, gap_family, icc_cover
 from iccover.errors import InvalidCode, SizeRefusal
 from iccover.oracles import (
     Gf2Matrix,
@@ -152,6 +152,21 @@ def seeded_digraphs(draw, max_n=12):
 @given(seeded_digraphs())
 def test_mais_matches_exhaustive_property(D):
     assert mais(D) == mais_exhaustive(D)
+
+
+@pytest.mark.parametrize(
+    "D,expected",
+    [(gap_family(k), k + 1) for k in range(2, 11)]
+    + [
+        (new_digraph(20, [(u, v) for u in range(1, 21) for v in range(1, 21) if u != v]), 1),
+        (new_digraph(20, [(i, i % 20 + 1) for i in range(1, 21)]), 19),
+        (new_digraph(20, [(u, v) for u in range(1, 21) for v in range(u + 1, 21)]), 20),  # transitive tournament
+    ],
+)
+def test_mais_beyond_the_subset_scan(D, expected):
+    # past mais_exhaustive's 12 vertices, up to mais's 20: gap_family(k) is
+    # the paper's family on which ICC meets the bound with k + 1 symbols
+    assert mais(D) == expected
 
 
 def test_mais_bounds():
