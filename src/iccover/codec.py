@@ -299,6 +299,7 @@ def decode_receiver(
 
 _SUPPORT_TOKEN = re.compile(r"^x([1-9][0-9]*)$")
 _HEX_TOKEN = re.compile(r"^(?:[0-9a-f]{2})+$")
+_POSITIVE_TOKEN = re.compile(r"[1-9][0-9]*")
 
 
 def serialize_code(code: IndexCode) -> str:
@@ -354,16 +355,20 @@ def serialize_packets(X: PacketVector) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _positive_int(no: int, what: str, token: str) -> int:
+    """A count or id only as serialize_* writes it, so files round-trip byte for byte."""
+    if _POSITIVE_TOKEN.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # beyond CPython's digit limit for int conversion
+            pass
+    raise FormatError(f"line {no}: bad {what} {echo(token)}")
+
+
 def _parse_header(lines: list[str]) -> int:
     if not lines or not lines[0].startswith("t="):
         raise FormatError("line 1: expected header 't=<bits>'")
-    try:
-        t = int(lines[0][2:])
-    except ValueError:
-        raise FormatError(f"line 1: bad bit count {echo(lines[0][2:])}") from None
-    if t < 1:
-        raise FormatError(f"line 1: bit count must be >= 1, got {echo(t)}")
-    return t
+    return _positive_int(1, "bit count", lines[0][2:])
 
 
 def _parse_hex(no: int, token: str, t: int) -> bytes:
@@ -402,12 +407,7 @@ def parse_side(text: str) -> tuple[int, dict[int, bytes]]:
         if "=" not in line:
             raise FormatError(f"line {no}: expected 'id=hex', got {echo(line)}")
         left, right = line.split("=", 1)
-        try:
-            mid = int(left)
-        except ValueError:
-            raise FormatError(f"line {no}: bad message id {echo(left)}") from None
-        if mid < 1:
-            raise FormatError(f"line {no}: message id must be >= 1, got {echo(mid)}")
+        mid = _positive_int(no, "message id", left)
         if mid in out:
             raise FormatError(f"line {no}: duplicate message id {echo(mid)}")
         out[mid] = _parse_hex(no, right.strip(), t)

@@ -60,11 +60,14 @@ class CoverPlan:
 
 
 def make_plan(D: Digraph, pieces: list[Piece]) -> CoverPlan:
-    """Wrap disjoint embedded pieces as a CoverPlan, uncovered = complement.
+    """Check a caller's pieces, then sort them by lowest vertex into a
+    CoverPlan whose uncovered vertices are the rest of 1..n, ascending.
 
-    Raises EmbeddingError when a piece does not embed in D, labels keys
-    beyond its template's coordinates, or shares a vertex with another.
+    The one check of a plan's pieces, for assemble_code too: raises
+    EmbeddingError when a piece does not embed in D, labels keys beyond
+    its template's coordinates, or shares a vertex with another.
     """
+    pieces = list(pieces)  # read an iterator once
     covered: set[int] = set()
     for idx, (T, lab) in enumerate(pieces, start=1):
         if not check_embedding(D, T, lab):
@@ -75,6 +78,14 @@ def make_plan(D: Digraph, pieces: list[Piece]) -> CoverPlan:
         if vs & covered:
             raise EmbeddingError(f"piece {idx} overlaps an earlier piece at {sorted(vs & covered)}")
         covered |= vs
+    return _unchecked_plan(D, pieces)
+
+
+def _unchecked_plan(D: Digraph, pieces: list[Piece]) -> CoverPlan:
+    """make_plan without its checks, for planners, which build pieces from
+    D's own arcs: the tests check their plans (the planner-piece property
+    and the plan goldens), and caller plans meet make_plan."""
+    covered = {v for _, lab in pieces for v in lab.values()}
     ordered = sorted(pieces, key=lambda piece: min(piece[1].values()))
     # built from a list, not a generator: tuple() of a generator takes a
     # 10-slot tuple and resizes it, so each call would move one block into
@@ -162,8 +173,8 @@ class _EmbeddingSearch:
     ordered pairs whose terminal has no arc onto the other path (each such
     pair needs a nonempty connector path of its own).
 
-    The attempt in progress (terminals, main paths, ordered pairs) lives
-    on the object, so the recursive steps are methods rather than nested
+    The attempt in progress (terminals and their mask, main paths, ordered
+    pairs) lives on the object, so the recursive steps are methods, not nested
     closures, which would reference themselves and leave every search as
     cyclic garbage.
     """
@@ -172,6 +183,7 @@ class _EmbeddingSearch:
         self.out_m = out_m
         self.in_m = in_m
         self.terms: tuple[int, ...] = ()
+        self.term_mask = 0
         self.paths: list[list[int]] = []
         self.allpairs: list[tuple[int, int]] = []
 
@@ -214,12 +226,10 @@ class _EmbeddingSearch:
     def _embed(self, mask: int, terms: tuple[int, ...]) -> tuple[IccTemplate, Labeling] | None:
         k = len(terms)
         self.terms = terms
+        self.term_mask = sum([1 << (t - 1) for t in terms])
         self.paths = [[t] for t in terms]
         self.allpairs = [(i, j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j]
-        pool0 = mask
-        for t in terms:
-            pool0 &= ~(1 << (t - 1))
-        return self._grow(0, pool0)
+        return self._grow(0, mask & ~self.term_mask)
 
     def _finalize(self, conn: dict[tuple[int, int], list[int]]) -> tuple[IccTemplate, Labeling] | None:
         out_m, terms, paths = self.out_m, self.terms, self.paths
@@ -299,7 +309,7 @@ class _EmbeddingSearch:
         return None
 
     def _connectors(self, pool: int):
-        out_m, in_m, terms, paths = self.out_m, self.in_m, self.terms, self.paths
+        out_m, in_m, terms, paths, term_mask = self.out_m, self.in_m, self.terms, self.paths, self.term_mask
         k = len(terms)
         path_sets = []
         allp = 0
@@ -309,9 +319,6 @@ class _EmbeddingSearch:
                 m |= 1 << (v - 1)
             path_sets.append(m)
             allp |= m
-        term_mask = 0
-        for t in terms:
-            term_mask |= 1 << (t - 1)
         # every leftover vertex must be enterable (from the pool or a
         # terminal) and exitable (into the pool or onto a main path)
         m = pool
@@ -451,4 +458,4 @@ def find_icc_subgraphs(D: Digraph, mode: str = "exact", exact_bound: int = DEFAU
     and reuses the bound as its piece-merge size cap.  Both are deterministic.
     """
     pieces = _exact_cover(D) if exact_mode(D, mode, exact_bound, "subgraph search") else _greedy_cover(D, exact_bound)
-    return make_plan(D, pieces)
+    return _unchecked_plan(D, pieces)

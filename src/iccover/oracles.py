@@ -158,7 +158,7 @@ def verify_code(D: Digraph, code: IndexCode) -> VerifyResult:
     blocks: dict[int, list[int]] = {}
     for r in filter(None, rows):
         blocks.setdefault(_root(parent, r.bit_length()), []).append(r)
-    # a list first, as in finder.make_plan: no free-list drift
+    # a list first, as in finder._unchecked_plan: no free-list drift
     verdicts = tuple([_decodable(blocks.get(_root(parent, i), ()), D.out_masks[i], i) for i in range(1, D.n + 1)])
     return VerifyResult(all(verdicts), verdicts)
 

@@ -25,9 +25,10 @@ from .digraph import (
     shortest_cycle_mask,  # unused; iccbench/tracer.py wraps this binding
 )
 from .errors import EmbeddingError, InvalidCode, InvalidDigraph, SizeRefusal
-from .finder import DEFAULT_EXACT_BOUND, CoverPlan, exact_mode, find_icc_subgraphs, make_plan, pack_pieces
+from .finder import DEFAULT_EXACT_BOUND, CoverPlan, _unchecked_plan, exact_mode, find_icc_subgraphs, make_plan, pack_pieces
 from .oracles import mais
-from .template import check_embedding, clique_to_template, cycle_to_template
+from .template import check_embedding  # unused; iccbench/tracer.py wraps this binding
+from .template import clique_to_template, cycle_to_template
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ def cycle_cover(D: Digraph, mode: str = "exact", exact_bound: int = DEFAULT_EXAC
     """
     cycles = _exact_cycle_packing(D) if exact_mode(D, mode, exact_bound, "cycle packing") else pack_cycles(D.out_masks, full_mask(D.n))
     pieces = [cycle_to_template(Cycle(c), (len(c) + 1) // 2) for c in cycles]
-    return make_plan(D, pieces)
+    return _unchecked_plan(D, pieces)
 
 
 # ---------- clique partition ----------
@@ -222,7 +223,7 @@ def clique_cover(D: Digraph, mode: str = "exact", exact_bound: int = DEFAULT_EXA
     """
     groups = _exact_clique_partition(D) if exact_mode(D, mode, exact_bound, "clique partition") else _greedy_clique_partition(D)
     pieces = [clique_to_template(D, g) for g in groups]
-    return make_plan(D, pieces)
+    return _unchecked_plan(D, pieces)
 
 
 # ---------- general cover and assembly ----------
@@ -236,24 +237,14 @@ def icc_cover(D: Digraph, mode: str = "exact", exact_bound: int = DEFAULT_EXACT_
 def assemble_code(D: Digraph, plan: CoverPlan, packets: PacketVector | None = None) -> IndexCode:
     """Concatenate per-piece codes, then uncoded symbols for leftovers.
 
-    Re-checks that the plan's pieces embed in D, label only their
-    templates' coordinates, and partition 1..n with the uncovered
-    vertices, none repeated, before emitting anything.
+    Before emitting anything, checks the pieces through make_plan, then
+    that the uncovered vertices are the rest of 1..n, each once.  Symbols
+    follow the plan's own order of pieces and of uncovered vertices.
     """
     if packets is not None and len(packets.packets) != D.n:
         raise InvalidCode(f"expected {D.n} packets, got {len(packets.packets)}")
-    seen: set[int] = set()
-    for T, lab in plan.pieces:
-        if not check_embedding(D, T, lab):
-            raise EmbeddingError("plan piece does not embed into the host digraph")
-        if len(lab) != T.n:  # every coordinate is labeled, so a key is extra
-            raise EmbeddingError("plan piece labels keys beyond its template's coordinates")
-        vs = set(lab.values())
-        if vs & seen:
-            raise EmbeddingError("plan pieces share vertices")
-        seen |= vs
-    leftover = set(plan.uncovered)
-    if seen & leftover or len(leftover) != len(plan.uncovered) or seen | leftover != set(range(1, D.n + 1)):
+    rest = make_plan(D, plan.pieces).uncovered
+    if len(plan.uncovered) != len(rest) or set(plan.uncovered) != set(rest):
         raise EmbeddingError("plan does not partition the vertex set")
     symbols: list[CodedSymbol] = []
     ops = 0

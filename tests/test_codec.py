@@ -270,6 +270,11 @@ def test_packets_roundtrip():
         "t=8\nzz\n",
         "t=8\n0000\n",
         "8\n00\n",
+        "t=0_8\nab\n",  # int() would read 8 from each of these
+        "t= 8\nab\n",
+        "t=+8\nab\n",
+        "t=08\nab\n",
+        "t=\u0668\nab\n",  # an Arabic-Indic digit
     ],
 )
 def test_parse_packets_rejects(text):
@@ -292,11 +297,37 @@ def test_side_roundtrip():
         "t=8\n0=00\n",
         "t=8\nx=00\n",
         "t=3\n1=ff\n",  # padding bits set
+        "t=8\n1_0=ab\n",  # int() would read 10 here and 3 in the next two
+        "t=8\n+3=cd\n",
+        "t=8\n\u0663=ab\n",
+        "t=8\n 3=ab\n",
+        "t=0_8\n1=ab\n",
+        "t= 8\n1=ab\n",
     ],
 )
 def test_parse_side_rejects(text):
     with pytest.raises((FormatError, InvalidCode)):
         parse_side(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("t=0_8\n1=ab\n", "line 1: bad bit count '0_8'"),
+        ("t= 8\n1=ab\n", "line 1: bad bit count ' 8'"),
+        ("t=0\n", "line 1: bad bit count '0'"),
+        ("t=8\n1_0=ab\n", "line 2: bad message id '1_0'"),
+        ("t=8\n+3=cd\n", "line 2: bad message id '+3'"),
+        ("t=8\n\u0663=ab\n", "line 2: bad message id '\u0663'"),
+        ("t=8\n0=00\n", "line 2: bad message id '0'"),
+        ("t=8\n" + "1" * 5000 + "=00\n", "line 2: bad message id '111"),
+    ],
+)
+def test_side_numbers_are_plain_ascii_decimal(text, message):
+    # only the form serialize_side writes, so every accepted file round-trips byte for byte
+    with pytest.raises(FormatError) as exc:
+        parse_side(text)
+    assert str(exc.value).startswith(message)
 
 
 def test_coded_symbol_freezes_support():

@@ -128,6 +128,16 @@ def test_make_plan_orders_pieces():
     assert firsts == sorted(firsts)
 
 
+def test_make_plan_reads_an_iterator_once():
+    D = new_digraph(4, [(1, 2), (2, 1), (3, 4), (4, 3)])
+    pieces = [cycle_to_template(Cycle((3, 4)), 1), cycle_to_template(Cycle((1, 2)), 1)]
+    want = make_plan(D, pieces)
+    assert want.savings == 2 and want.uncovered == ()
+    assert make_plan(D, iter(pieces)) == want
+    assert make_plan(D, (p for p in pieces)) == want
+    assert assemble_code(D, make_plan(D, iter(pieces))).length == 2
+
+
 def random_digraph(rng, n, p):
     return new_digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v and rng.random() < p])
 

@@ -149,6 +149,21 @@ def test_plan_with_repeated_uncovered_vertex_is_refused():
     assert assemble_code(D, CoverPlan((piece,), (3,))).length == 2
 
 
+def test_assemble_code_checks_pieces_as_make_plan_does():
+    D = new_digraph(5, [(1, 2), (2, 1), (3, 4), (4, 3)])
+    a, b = cycle_to_template(Cycle((1, 2)), 1), cycle_to_template(Cycle((3, 4)), 1)
+    loose = cycle_to_template(Cycle((4, 5)), 1)  # D has no arcs at 5
+    with pytest.raises(EmbeddingError, match="^piece 2 does not embed in the digraph$"):
+        assemble_code(D, CoverPlan((a, loose), (3,)))
+    with pytest.raises(EmbeddingError, match="^piece 2 overlaps an earlier piece at"):
+        assemble_code(D, CoverPlan((a, a), (3, 4, 5)))
+    with pytest.raises(EmbeddingError, match="does not partition"):
+        assemble_code(D, CoverPlan((a, b), (3,)))
+    # the caller's order of pieces and of uncovered vertices is kept
+    code = assemble_code(D, CoverPlan((b, a), (5,)))
+    assert [sorted(sym.support) for sym in code.symbols] == [[3, 4], [1, 2], [5]]
+
+
 def test_compare_reports(d1, d2):
     assert serialize_report(compare(d1)) == (
         '{"n":6,"l_cyc":5,"l_cc":6,"l_icc":4,"mais":4,"optimal":true}'
@@ -419,19 +434,38 @@ def test_exact_dps_match_reference_on_fixed_cases():
 
 
 # ---------- every planner piece embeds ----------
+# Planners do not check their own plans at run time (make_plan and
+# assemble_code check only the plans a caller hands in), so these
+# properties, with the plan goldens, are what hold them.
+
+
+def assert_embedded_partition(D, mode):
+    for planner in (cycle_cover, clique_cover, icc_cover):
+        plan = planner(D, mode)
+        covered = []
+        for T, lab in plan.pieces:
+            assert check_embedding(D, T, lab), (planner.__name__, mode, T, lab)
+            covered += lab.values()
+        assert sorted(covered + list(plan.uncovered)) == list(range(1, D.n + 1))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(digraphs(max_n=9))
 def test_every_planner_returns_only_embedded_disjoint_pieces(D):
-    for planner in (cycle_cover, clique_cover, icc_cover):
-        for mode in ("exact", "greedy"):
-            plan = planner(D, mode)
-            covered = []
-            for T, lab in plan.pieces:
-                assert check_embedding(D, T, lab), (planner.__name__, mode, T, lab)
-                covered += lab.values()
-            assert sorted(covered + list(plan.uncovered)) == list(range(1, D.n + 1))
+    for mode in ("exact", "greedy"):
+        assert_embedded_partition(D, mode)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(digraphs(max_n=40))
+def test_every_greedy_planner_returns_only_embedded_disjoint_pieces(D):
+    assert_embedded_partition(D, "greedy")
+
+
+@pytest.mark.parametrize("n", [100, 130, 160])
+def test_every_greedy_planner_returns_only_embedded_disjoint_pieces_at_scale(n):
+    # the sizes and mean out-degree of the greedy-large benchmark
+    assert_embedded_partition(random_digraph(random.Random(n), n, 7.5 / (n - 1)), "greedy")
 
 
 def test_planner_pieces_of_one_shape_share_one_template():
