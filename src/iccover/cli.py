@@ -22,7 +22,7 @@ from .template import build_digraph, canonical_labeling, parse_template, random_
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:  # no CRLF translation
         try:
             return fh.read()
         except UnicodeDecodeError:
@@ -35,7 +35,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 

@@ -314,14 +314,24 @@ def serialize_code(code: IndexCode) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _lines(text: str) -> list[str]:
+    """Lines split at line feeds alone, less one final empty piece; no CR,
+    other line break or whitespace is stripped, so only what serialize_*
+    writes parses, and every accepted file round-trips byte for byte."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def parse_code(text: str) -> IndexCode:
     """Parse a code listing; payload hex is optional per line."""
     symbols = []
     width: int | None = None
-    for no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+    for no, line in enumerate(_lines(text), start=1):
+        if not line:
             raise FormatError(f"line {no}: empty line")
-        parts = line.split()
+        parts = line.split(" ")
         if len(parts) > 2:
             raise FormatError(f"line {no}: expected 'support [hex]', got {echo(line)}")
         ids = []
@@ -386,9 +396,9 @@ def _parse_hex(no: int, token: str, t: int) -> bytes:
 
 def parse_packets(text: str) -> PacketVector:
     """Parse a packet file into a validated vector (ids follow line order)."""
-    lines = text.splitlines()
+    lines = _lines(text)
     t = _parse_header(lines)
-    pkts = [_parse_hex(no, line.strip(), t) for no, line in enumerate(lines[1:], start=2)]
+    pkts = [_parse_hex(no, line, t) for no, line in enumerate(lines[1:], start=2)]
     return new_packet_vector(t, pkts)
 
 
@@ -400,7 +410,7 @@ def serialize_side(t: int, side_packets: dict[int, bytes]) -> str:
 
 
 def parse_side(text: str) -> tuple[int, dict[int, bytes]]:
-    lines = text.splitlines()
+    lines = _lines(text)
     t = _parse_header(lines)
     out: dict[int, bytes] = {}
     for no, line in enumerate(lines[1:], start=2):
@@ -410,5 +420,5 @@ def parse_side(text: str) -> tuple[int, dict[int, bytes]]:
         mid = _positive_int(no, "message id", left)
         if mid in out:
             raise FormatError(f"line {no}: duplicate message id {echo(mid)}")
-        out[mid] = _parse_hex(no, right.strip(), t)
+        out[mid] = _parse_hex(no, right, t)
     return t, out

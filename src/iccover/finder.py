@@ -167,39 +167,43 @@ class _EmbeddingSearch:
     backward from their terminals with "stop" tried before "extend", and
     leftover vertices are assigned to connector paths pivot-first.  The
     first embedding found under this order is the canonical one.  Branches
-    are cut only where they must fail: a terminal lacking k - 1 out-arcs
-    inside the subset, a terminal set in which some terminal cannot reach
-    another through non-terminals, or fewer leftover vertices than the
-    ordered pairs whose terminal has no arc onto the other path (each such
-    pair needs a nonempty connector path of its own).
+    are cut only where they must fail, by five tests: the degree bound (k
+    terminals each need k - 1 out-arcs inside the subset), the SCC test
+    (the subset must be strongly connected), the linked-terminal test (each
+    terminal reaches every other through non-terminals), the bare-pair
+    count (each ordered pair whose terminal has no arc onto the other path
+    needs a leftover vertex of its own), and the pivot reach test (a pair
+    takes the pivot only if, within the leftover vertices, the pivot is
+    reached from the terminal's out-neighbors and reaches an arc onto the
+    target path).  _finalize then checks every pair's attachment.
 
-    The attempt in progress (terminals and their mask, main paths, ordered
-    pairs) lives on the object, so the recursive steps are methods, not nested
-    closures, which would reference themselves and leave every search as
-    cyclic garbage.
+    The attempt in progress (terminals, main paths, ordered pairs) lives on
+    the object, so the recursive steps are methods, not nested closures,
+    which would reference themselves and leave every search as cyclic
+    garbage.
     """
 
     def __init__(self, out_m: tuple[int, ...], in_m: tuple[int, ...]):
         self.out_m = out_m
         self.in_m = in_m
         self.terms: tuple[int, ...] = ()
-        self.term_mask = 0
         self.paths: list[list[int]] = []
         self.allpairs: list[tuple[int, int]] = []
 
     def max_piece(self, mask: int, kmin: int = 2, kmax: int | None = None) -> Embedding | None:
         """Largest-k spanning embedding on the subset with kmin <= k <= kmax."""
-        out_m, in_m = self.out_m, self.in_m
+        out_m = self.out_m
         verts = list(iter_mask_vertices(mask))
-        if len(verts) < 2 or not strongly_connected_mask(out_m, in_m, mask):
-            return None
-        # a terminal needs k-1 outgoing arcs inside the subset
+        # a terminal needs k-1 outgoing arcs inside the subset; degs[i] - i
+        # falls strictly as i grows, so the k that allow it form a prefix
         deg = {v: (out_m[v] & mask).bit_count() for v in verts}
         degs = sorted(deg.values(), reverse=True)
-        top = len(verts) if kmax is None else min(kmax, len(verts))
+        top = sum(1 for i, d in enumerate(degs) if d >= i)
+        if kmax is not None:
+            top = min(top, kmax)
+        if top < kmin or not strongly_connected_mask(out_m, self.in_m, mask):
+            return None
         for k in range(top, kmin - 1, -1):
-            if degs[k - 1] < k - 1:
-                continue
             cands = [v for v in verts if deg[v] >= k - 1]
             for terms in combinations(cands, k):
                 if self._linked(mask, terms):
@@ -226,10 +230,9 @@ class _EmbeddingSearch:
     def _embed(self, mask: int, terms: tuple[int, ...]) -> tuple[IccTemplate, Labeling] | None:
         k = len(terms)
         self.terms = terms
-        self.term_mask = sum([1 << (t - 1) for t in terms])
         self.paths = [[t] for t in terms]
         self.allpairs = [(i, j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j]
-        return self._grow(0, mask & ~self.term_mask)
+        return self._grow(0, mask & ~sum([1 << (t - 1) for t in terms]))
 
     def _finalize(self, conn: dict[tuple[int, int], list[int]]) -> tuple[IccTemplate, Labeling] | None:
         out_m, terms, paths = self.out_m, self.terms, self.paths
@@ -280,80 +283,42 @@ class _EmbeddingSearch:
             yield from self._pivot_paths(chain, left & ~(1 << (u - 1)), starts, targets)
             chain.pop(0)
 
-    def _place(self, conn, pool: int, path_sets: list[int], enter: list[int]):
+    def _place(self, conn, pool: int, path_sets: list[int]):
         if pool == 0:
             return self._finalize(conn)
-        out_m, in_m, terms = self.out_m, self.in_m, self.terms
+        out_m, terms = self.out_m, self.terms
         pivot_bit = pool & -pool
         pivot = pivot_bit.bit_length()
         rest = pool & ~pivot_bit
         # cheap necessary conditions: the pivot's connector path must
         # start at some terminal's out-neighbor and end next to its pair's
         # target path, all within the remaining pool
-        back = _reach_mask(in_m, pool, pivot_bit)
-        fwd = _reach_mask(out_m, pool, pivot_bit)
+        back = _reach_mask(self.in_m, pool, pivot_bit)
+        exits = 0
+        for v in iter_mask_vertices(_reach_mask(out_m, pool, pivot_bit)):
+            exits |= out_m[v]
         for (i, j) in self.allpairs:
             if (i, j) in conn:
                 continue
-            if not back & out_m[terms[i - 1]] or not fwd & enter[j - 1]:
+            if not back & out_m[terms[i - 1]] or not exits & path_sets[j - 1]:
                 continue
             for vs in self._pivot_paths([pivot], rest, out_m[terms[i - 1]], path_sets[j - 1]):
-                left = pool
-                for v in vs:
-                    left &= ~(1 << (v - 1))
                 conn[(i, j)] = vs
-                got = self._place(conn, left, path_sets, enter)
+                got = self._place(conn, pool & ~sum([1 << (v - 1) for v in vs]), path_sets)
                 if got is not None:
                     return got
                 del conn[(i, j)]
         return None
 
     def _connectors(self, pool: int):
-        out_m, in_m, terms, paths, term_mask = self.out_m, self.in_m, self.terms, self.paths, self.term_mask
-        k = len(terms)
-        path_sets = []
-        allp = 0
-        for p in paths:
-            m = 0
-            for v in p:
-                m |= 1 << (v - 1)
-            path_sets.append(m)
-            allp |= m
-        # every leftover vertex must be enterable (from the pool or a
-        # terminal) and exitable (into the pool or onto a main path)
-        m = pool
-        while m:
-            b = m & -m
-            v = b.bit_length()
-            if not in_m[v] & (pool | term_mask) or not out_m[v] & (pool | allp):
-                return None
-            m ^= b
+        out_m, terms = self.out_m, self.terms
+        path_sets = [sum([1 << (v - 1) for v in p]) for p in self.paths]
         # a pair whose terminal has no arc onto the other path needs a
         # nonempty connector path of its own, drawn from the pool
         bare = sum(1 for (i, j) in self.allpairs if not out_m[terms[i - 1]] & path_sets[j - 1])
         if bare > pool.bit_count():
             return None
-        enter = []
-        for ps in path_sets:
-            e = 0
-            s = pool
-            while s:
-                b = s & -s
-                if out_m[b.bit_length()] & ps:
-                    e |= b
-                s ^= b
-            enter.append(e)
-        # every ordered pair needs a possible attach source, and every
-        # path's first vertex needs one landing on it exactly
-        for jdx in range(k):
-            if not enter[jdx]:
-                for idx in range(k):
-                    if idx != jdx and not out_m[terms[idx]] & path_sets[jdx]:
-                        return None
-            tj = 1 << (terms[jdx] - 1)
-            if not in_m[paths[jdx][0]] & ((term_mask ^ tj) | pool):
-                return None
-        return self._place({}, pool, path_sets, enter)
+        return self._place({}, pool, path_sets)
 
     def _grow(self, i: int, pool: int):
         # grow main path i backward from its first vertex, "stop" first

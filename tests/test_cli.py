@@ -107,6 +107,14 @@ def test_decode_rejects_side_width_mismatch(tdir, capsys):
     assert "packet length mismatch: 2 vs 1 bytes" in captured.err
 
 
+def test_crlf_packet_file_is_an_error(tdir, capsys):
+    # files are read without newline translation, so CRLF meets the parser
+    pk = tdir / "pk.txt"
+    pk.write_bytes(b"t=8\r\n11\r\n22\r\n33\r\n44\r\n55\r\n66\r\n")
+    assert main(["encode", "--template", str(tdir / "t.json"), "--packets", str(pk)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 1: bad bit count")
+
+
 @pytest.mark.parametrize("command", ["encode", "decode"])
 def test_template_with_too_few_paths_is_an_error(tdir, capsys, command):
     bad = tdir / "bad.json"

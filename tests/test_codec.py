@@ -241,6 +241,9 @@ def test_code_roundtrip_preserves_wire(d1_template):
         "x1+x1 00\n",
         "\n",
         "x1 00\nx2 0000\n",  # inconsistent widths
+        "x1+x2  ab\n",  # only the single space serialize_code writes
+        "x1+x2\tab\n",
+        "x1\r\nx2\n",  # line feeds alone end lines
     ],
 )
 def test_parse_code_rejects(text):
@@ -275,6 +278,8 @@ def test_packets_roundtrip():
         "t=+8\nab\n",
         "t=08\nab\n",
         "t=\u0668\nab\n",  # an Arabic-Indic digit
+        "t=8\n 11 \n22\r\n",  # no whitespace or CR is stripped
+        "t=8\n11\x0c22\n",  # a form feed does not end a line
     ],
 )
 def test_parse_packets_rejects(text):
@@ -303,6 +308,8 @@ def test_side_roundtrip():
         "t=8\n 3=ab\n",
         "t=0_8\n1=ab\n",
         "t= 8\n1=ab\n",
+        "t=8\n2= 22 \n",
+        "t=8\r\n2=22\r\n",
     ],
 )
 def test_parse_side_rejects(text):

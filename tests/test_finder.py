@@ -218,6 +218,46 @@ def test_max_piece_matches_unpruned_search(D):
                 assert search.max_piece(mask, kmin, kmax) == want, (mask, kmin, kmax)
 
 
+class UncutSearch(_EmbeddingSearch):
+    """_EmbeddingSearch whose connector placement carries no cut: every
+    main-path shape builds its path sets, and every pivot tries the pivot
+    paths of every open pair, until _finalize accepts one."""
+
+    def _connectors(self, pool):
+        path_sets = [sum(1 << (v - 1) for v in p) for p in self.paths]
+        return self._place({}, pool, path_sets)
+
+    def _place(self, conn, pool, path_sets):
+        if pool == 0:
+            return self._finalize(conn)
+        pivot_bit = pool & -pool
+        for (i, j) in self.allpairs:
+            if (i, j) in conn:
+                continue
+            starts = self.out_m[self.terms[i - 1]]
+            for vs in self._pivot_paths([pivot_bit.bit_length()], pool ^ pivot_bit, starts, path_sets[j - 1]):
+                conn[(i, j)] = vs
+                got = self._place(conn, pool & ~sum(1 << (v - 1) for v in vs), path_sets)
+                if got is not None:
+                    return got
+                del conn[(i, j)]
+        return None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(digraphs(max_n=6))
+def test_embed_matches_uncut_connector_search(D):
+    # the production _connectors and _place cut branches; the result of
+    # every terminal set must not change
+    search = _EmbeddingSearch(D.out_masks, D.in_masks)
+    uncut = UncutSearch(D.out_masks, D.in_masks)
+    for mask in range(1, full_mask(D.n) + 1):
+        verts = [v for v in range(1, D.n + 1) if mask >> (v - 1) & 1]
+        for k in range(2, len(verts) + 1):
+            for terms in combinations(verts, k):
+                assert search._embed(mask, terms) == uncut._embed(mask, terms), (mask, terms)
+
+
 def test_mais_table_matches_exhaustive():
     rng = random.Random(11)
     for n, p in ((5, 0.5), (6, 0.3), (7, 0.35), (7, 0.6)):
