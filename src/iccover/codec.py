@@ -316,8 +316,8 @@ def serialize_code(code: IndexCode) -> str:
 
 def _lines(text: str) -> list[str]:
     """Lines split at line feeds alone, less one final empty piece; no CR,
-    other line break or whitespace is stripped, so only what serialize_*
-    writes parses, and every accepted file round-trips byte for byte."""
+    other line break or whitespace is stripped, so what serialize_* writes
+    round-trips byte for byte, and a stray space or CR is an error."""
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()

@@ -107,47 +107,35 @@ def exact_mode(D: Digraph, mode: str, exact_bound: int, what: str) -> bool:
     raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
 
 
-def pack_pieces(n: int, value: dict[int, int], new_piece=None) -> list[int]:
+def pack_pieces(n: int, new_piece) -> list[int]:
     """Most valuable disjoint pieces, by a DP over vertex masks in ascending
     order; returns the chosen pieces' masks.
 
-    value maps each candidate's vertex mask to what it saves.  best[mask]
-    either skips mask's lowest vertex ("skip low") or takes the first
-    candidate p through that vertex, in ascending order, that strictly
+    best[mask] either skips mask's lowest vertex ("skip low") or takes the
+    first piece p through that vertex, in ascending order, that strictly
     beats every earlier choice.  Proper submasks come first, so b, the best
     split of mask into smaller pieces, is settled when new_piece(mask, b)
-    may add to value a piece on exactly mask worth more than b (it returns
-    that worth, or 0).  A piece worth no more than b never wins the strict
-    >, here or at a larger mask, where that split scores as much, earlier.
-
-    So candidates may leave out pieces the strict > never picks.  Cycles
-    need only induced ones: a chorded cycle p holds a shorter cycle, so a
-    shortest cycle q of D[p] lies on a proper subset of p and is induced.
-    If q avoids the lowest vertex, skip low already scores at least
-    1 + best[mask ^ p]; otherwise q is a smaller candidate through it, met
-    earlier with a score at least as high.
+    may add a piece on exactly mask worth more than b (it returns that
+    worth, or 0).  A piece worth no more than b never wins the strict >,
+    here or at a larger mask, where that split scores as much, earlier.
     """
     full = full_mask(n)
-    by_low: dict[int, list[int]] = {}
-    for p in sorted(value):
-        by_low.setdefault(p & -p, []).append(p)
+    by_low: dict[int, list[tuple[int, int]]] = {}  # (mask, worth) of each piece, by lowest vertex
     best = [0] * (full + 1)
     take = [0] * (full + 1)
     for mask in range(1, full + 1):
         low = mask & -mask
         b, t = best[mask ^ low], 0
-        for p in by_low.get(low, ()):
+        for p, w in by_low.get(low, ()):
             if p & ~mask:
                 continue
-            c = value[p] + best[mask ^ p]
+            c = w + best[mask ^ p]
             if c > b:
                 b, t = c, p
-        if new_piece is not None:
-            c = new_piece(mask, b)
-            if c:
-                value[mask] = c
-                by_low.setdefault(low, []).append(mask)
-                b, t = c, mask
+        c = new_piece(mask, b)
+        if c:
+            by_low.setdefault(low, []).append((mask, c))
+            b, t = c, mask
         best[mask], take[mask] = b, t
     chosen: list[int] = []
     mask = full
@@ -384,7 +372,7 @@ def _exact_cover(D: Digraph) -> list[Piece]:
                 return got[0] - 1
         return 0
 
-    return [emb[p][1:] for p in pack_pieces(D.n, {}, new_piece)]
+    return [emb[p][1:] for p in pack_pieces(D.n, new_piece)]
 
 
 def _greedy_cover(D: Digraph, merge_bound: int) -> list[Piece]:

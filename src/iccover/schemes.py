@@ -63,36 +63,6 @@ def plan_length(D: Digraph, plan: CoverPlan) -> int:
 # ---------- cycle packing ----------
 
 
-def _induced_cycles(out_m: tuple[int, ...], in_m: tuple[int, ...], n: int) -> list[int]:
-    """Vertex masks of every induced (chordless) cycle.
-
-    Paths grow from each cycle's smallest vertex s through higher
-    vertices, each new vertex w entered from the last one and touching no
-    earlier vertex: ``avoid`` collects the out-neighbours of every vertex
-    but the last and the in-neighbours of every vertex but s.  An arc
-    w -> s closes the cycle, and a longer path through w would have that
-    arc as a chord.
-    """
-    masks: list[int] = []
-    for s in range(1, n + 1):
-        sbit = 1 << (s - 1)
-        above = -(sbit << 1)  # the vertices above s
-        stack = [(s, sbit, 0)]  # (last vertex, path mask, avoid)
-        while stack:
-            last, pmask, avoid = stack.pop()
-            out_last = out_m[last]
-            grow = out_last & above & ~avoid
-            while grow:
-                b = grow & -grow
-                grow ^= b
-                w = b.bit_length()
-                if out_m[w] & sbit:
-                    masks.append(pmask | b)
-                else:
-                    stack.append((w, pmask | b, avoid | out_last | in_m[w]))
-    return masks
-
-
 def _cycle_order(out_m: tuple[int, ...], mask: int) -> tuple[int, ...]:
     """An induced cycle's vertices in arc order, smallest first: inside
     the cycle every vertex has exactly one out-neighbour."""
@@ -108,12 +78,27 @@ def _cycle_order(out_m: tuple[int, ...], mask: int) -> tuple[int, ...]:
 
 
 def _exact_cycle_packing(D: Digraph) -> list[tuple[int, ...]]:
-    """Most vertex-disjoint cycles, packed from the induced cycles by
-    pack_pieces (which argues why they suffice).  An induced cycle has one
-    vertex order, so no path table is needed to list it."""
-    out_m = D.out_masks
-    cycles = dict.fromkeys(_induced_cycles(out_m, D.in_masks, D.n), 1)
-    return [_cycle_order(out_m, p) for p in pack_pieces(D.n, cycles)]
+    """Most vertex-disjoint cycles, by pack_pieces with a piece worth 1 on
+    each induced (chordless) cycle.
+
+    A cycle never beats a split b >= 1, so new_cycle offers one only when
+    b == 0, that is when every proper subset of mask is acyclic.  Then
+    mask holds a cycle iff no vertex is a source in D[mask], and that
+    cycle spans mask without a chord.  So the pieces are exactly the
+    induced cycles, each added at its own mask in ascending order, and an
+    induced cycle has one vertex order, so _cycle_order lists it.
+    """
+    in_m = D.in_masks
+
+    def new_cycle(mask: int, b: int) -> int:
+        if b:
+            return 0
+        m = mask  # drops vertices with an in-neighbour in mask, up to a source
+        while m and in_m[(m & -m).bit_length()] & mask:
+            m &= m - 1
+        return 0 if m else 1
+
+    return [_cycle_order(D.out_masks, p) for p in pack_pieces(D.n, new_cycle)]
 
 
 def cycle_cover(D: Digraph, mode: str = "exact", exact_bound: int = DEFAULT_EXACT_BOUND) -> CoverPlan:
@@ -135,7 +120,7 @@ def _mutual_masks(D: Digraph) -> list[int]:
 
 
 def _exact_clique_partition(D: Digraph) -> list[list[int]]:
-    """Fewest cliques covering D, by a DP over masks in ascending order.
+    """Fewest cliques covering D, by one DP over masks in ascending order.
 
     parts[mask] takes the clique p through mask's lowest vertex that
     strictly beats every earlier choice, scanning candidates in
@@ -143,22 +128,23 @@ def _exact_clique_partition(D: Digraph) -> list[list[int]]:
     neighbour of low, so no clique through low contains it: scanning the
     submasks of mask & mut[low] meets the same cliques, in the same
     order, as scanning those of the whole mask, and picks the same p.
+    is_clique[mask] is set before that scan, which reads it only at mask
+    and below.  The DP stays outside pack_pieces for its ties: it takes
+    the largest clique first and the lone vertex last, where pack_pieces
+    skips the lowest vertex first and takes the smallest piece first.
     """
     mut = _mutual_masks(D)
     full = full_mask(D.n)
     is_clique = bytearray(full + 1)
     is_clique[0] = 1
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        rest = mask ^ low
-        if is_clique[rest] and (mut[low.bit_length()] & rest) == rest:
-            is_clique[mask] = 1
     # fewest parts = most saved symbols
     parts = [0] * (full + 1)
     take = [0] * (full + 1)
     for mask in range(1, full + 1):
         low = mask & -mask
         cand = mask & mut[low.bit_length()]
+        if cand == mask ^ low and is_clique[cand]:
+            is_clique[mask] = 1
         b, t = None, 0
         sub = cand
         while True:

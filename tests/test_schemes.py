@@ -439,21 +439,29 @@ def test_exact_dps_match_reference_on_fixed_cases():
 # properties, with the plan goldens, are what hold them.
 
 
+PLANNERS = (cycle_cover, clique_cover, icc_cover)
+
+
 def assert_embedded_partition(D, mode):
-    for planner in (cycle_cover, clique_cover, icc_cover):
-        plan = planner(D, mode)
+    plans = [planner(D, mode) for planner in PLANNERS]
+    for planner, plan in zip(PLANNERS, plans):
         covered = []
         for T, lab in plan.pieces:
             assert check_embedding(D, T, lab), (planner.__name__, mode, T, lab)
             covered += lab.values()
         assert sorted(covered + list(plan.uncovered)) == list(range(1, D.n + 1))
+    return plans
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(digraphs(max_n=9))
 def test_every_planner_returns_only_embedded_disjoint_pieces(D):
-    for mode in ("exact", "greedy"):
-        assert_embedded_partition(D, mode)
+    exact, greedy = (assert_embedded_partition(D, mode) for mode in ("exact", "greedy"))
+    lower = mais(D)
+    for planner, ex, gr in zip(PLANNERS, exact, greedy):
+        # exact mode saves the most; no index code is shorter than mais
+        assert ex.savings >= gr.savings, planner.__name__
+        assert plan_length(D, ex) >= lower and plan_length(D, gr) >= lower, planner.__name__
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
