@@ -456,7 +456,7 @@ def assert_embedded_partition(D, mode):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(digraphs(max_n=9))
 def test_every_planner_returns_only_embedded_disjoint_pieces(D):
-    exact, greedy = (assert_embedded_partition(D, mode) for mode in ("exact", "greedy"))
+    exact, greedy = assert_embedded_partition(D, "exact"), assert_embedded_partition(D, "greedy")
     lower = mais(D)
     for planner, ex, gr in zip(PLANNERS, exact, greedy):
         # exact mode saves the most; no index code is shorter than mais
