@@ -165,10 +165,7 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"ICC_EXACT_BOUND must be an integer, got {echo(raw)}")
     try:
         return args.func(args)
-    except IccoverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (IccoverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,9 +35,10 @@ from .errors import (
     InvalidTemplate,
     MissingCodedSymbol,
     MissingSidePacket,
+    _is_count,
     echo,
 )
-from .template import IccTemplate, Labeling, _arc_index, _coord_tuple, validate_template
+from .template import IccTemplate, Labeling, _arc_index, _checked_labeling, validate_template
 
 TAG_PATH_I = "path-I"
 TAG_PATH_II = "path-II"
@@ -81,14 +82,14 @@ class PacketVector:
     packets: tuple[bytes, ...]
 
     def packet(self, message_id: int) -> bytes:
-        if not 1 <= message_id <= len(self.packets):
-            raise InvalidCode(f"message id {message_id} outside packet vector of size {len(self.packets)}")
+        if not (_is_count(message_id) and 1 <= message_id <= len(self.packets)):
+            raise InvalidCode(f"message id {echo(message_id)} outside packet vector of size {len(self.packets)}")
         return self.packets[message_id - 1]
 
 
 def new_packet_vector(t: int, packets) -> PacketVector:
     """Validate packet shapes: ceil(t/8) bytes each, padding bits zero."""
-    if not isinstance(t, int) or isinstance(t, bool) or t < 1:
+    if not _is_count(t) or t < 1:
         raise InvalidCode(f"packet width must be a positive bit count, got {t!r}")
     width = packet_bytes(t)
     used = t - 8 * (width - 1)
@@ -169,29 +170,17 @@ def _require_valid(T: IccTemplate) -> None:
         raise InvalidTemplate(problems)
 
 
-def _checked_labeling(T: IccTemplate, labeling: Labeling) -> list[int]:
-    """Message ids of T's coordinates in coords() order; complete and injective."""
-    coords = _coord_tuple(T)
-    try:
-        ids = list(map(labeling.__getitem__, coords))
-    except KeyError:
-        missing = next(c for c in coords if c not in labeling)
-        raise InvalidCode(f"labeling missing coordinate {missing}") from None
-    if len(set(ids)) != len(ids):
-        raise InvalidCode("labeling is not injective")
-    return ids
-
-
 def encode(T: IccTemplate, labeling: Labeling, packets: PacketVector | None = None) -> IndexCode:
     """Produce the template's index code; payloads are filled when packets are given."""
     _require_valid(T)
     ids = _checked_labeling(T, labeling)
     rows, xor_terms = _compiled(T)[:2]
-    if packets is not None:
+    if packets is None:  # the ids become the listing's supports
         for m in ids:
-            if not 1 <= m <= len(packets.packets):
-                raise InvalidCode(f"message id {m} outside packet vector of size {len(packets.packets)}")
-        own = [packets.packets[m - 1] for m in ids]
+            if not _is_count(m) or m < 1:
+                raise InvalidCode(f"message id {echo(m)} is not a positive integer")
+    else:
+        own = list(map(packets.packet, ids))
         width = len(own[0])
         if any(len(p) != width for p in own):
             for row, _ in rows:  # the rows connect every coordinate, so one raises
@@ -213,7 +202,7 @@ def code_length(T: IccTemplate) -> int:
 def xor_op_count(T: IccTemplate, t: int) -> int:
     """Exact bit-XOR operations the encoder spends on t-bit packets."""
     _require_valid(T)
-    if not isinstance(t, int) or isinstance(t, bool) or t < 1:
+    if not _is_count(t) or t < 1:
         raise InvalidCode(f"packet width must be a positive bit count, got {t!r}")
     return _compiled(T)[1] * t
 
@@ -288,6 +277,8 @@ def decode_receiver(
     """
     _require_valid(T)
     ids = _checked_labeling(T, labeling)
+    if not _is_count(receiver):
+        raise DecodeFailure(f"receiver {echo(receiver)} is not a message id")
     try:
         p = ids.index(receiver)
     except ValueError:

@@ -27,7 +27,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import FormatError, InvalidDigraph, echo
+from .errors import FormatError, InvalidDigraph, _is_count, echo
 
 DEFAULT_CYCLE_CAP = 10**6
 
@@ -83,14 +83,14 @@ class Cycle:
 
 
 def _check_vertex(n: int, v) -> None:
-    if not (isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n):
+    if not (_is_count(v) and 1 <= v <= n):
         raise InvalidDigraph(f"vertex id {v!r} out of range 1..{n}")
 
 
 def new_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     """Build a digraph, rejecting bad endpoints, self-arcs and n above
     MAX_N; duplicates collapse."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not _is_count(n) or n < 0:
         raise InvalidDigraph(f"vertex count must be a non-negative integer, got {n!r}")
     if n > MAX_N:
         raise InvalidDigraph(f"vertex count {n} is above the limit of {MAX_N}")
@@ -185,7 +185,7 @@ def parse_digraph(text: str) -> Digraph:
     if "n" not in obj or "arcs" not in obj:
         raise FormatError("object must carry fields 'n' and 'arcs'")
     n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not _is_count(n) or n < 0:
         raise FormatError(f"field 'n': expected a non-negative integer, got {echo(n)}")
     if n > MAX_N:
         raise FormatError(f"field 'n': {echo(n)} vertices is above the limit of {MAX_N}")
@@ -198,7 +198,7 @@ def parse_digraph(text: str) -> Digraph:
             raise FormatError(f"arcs[{idx}]: expected a pair [u,v], got {echo(entry)}")
         u, v = entry
         for end in (u, v):
-            if not isinstance(end, int) or isinstance(end, bool) or not 1 <= end <= n:
+            if not _is_count(end) or not 1 <= end <= n:
                 raise FormatError(f"arcs[{idx}]: endpoint {echo(end)} out of range 1..{n}")
         if u == v:
             raise FormatError(f"arcs[{idx}]: self-arc ({u},{v}) is not allowed")

@@ -8,8 +8,16 @@ ECHO_LIMIT = 60
 def echo(value) -> str:
     """repr(value) for an error message, cut to ECHO_LIMIT characters plus
     "..." so that an oversized input gives a short message."""
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:  # an int beyond CPython's digit limit for str()
+        text = f"<int of {value.bit_length()} bits>"
     return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "..."
+
+
+def _is_count(x) -> bool:
+    """An int and not a bool: the type every id, count and length must have."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class IccoverError(Exception):

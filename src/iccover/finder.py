@@ -383,24 +383,19 @@ def _greedy_cover(D: Digraph, merge_bound: int) -> list[Piece]:
     verts = [sum(1 << (v - 1) for v in c) for c in cycles]
     outs = [reduce(or_, [out_m[v] for v in c]) for c in cycles]
     search = _EmbeddingSearch(out_m, in_m)
-    merged = True
-    while merged:
-        merged = False
-        for a in range(len(found)):
-            for b in range(a + 1, len(found)):
-                union = verts[a] | verts[b]
-                if union.bit_count() > merge_bound or not (outs[a] & verts[b] and outs[b] & verts[a]):
-                    continue
-                # a merge must save at least what the two pieces save apart
-                got = search.max_piece(union, found[a][0] + found[b][0])
-                if got is not None:
-                    found[a], verts[a], outs[a] = got, union, outs[a] | outs[b]
-                    del found[b], verts[b], outs[b]
-                    merged = True
-                    break
-            if merged:
+    while True:  # after each merge, scan the pairs again from the first
+        for a, b in combinations(range(len(found)), 2):
+            union = verts[a] | verts[b]
+            if union.bit_count() > merge_bound or not (outs[a] & verts[b] and outs[b] & verts[a]):
+                continue
+            # a merge must save at least what the two pieces save apart
+            got = search.max_piece(union, found[a][0] + found[b][0])
+            if got is not None:
+                found[a], verts[a], outs[a] = got, union, outs[a] | outs[b]
+                del found[b], verts[b], outs[b]
                 break
-    return [(T, lab) for _, T, lab in found]
+        else:
+            return [(T, lab) for _, T, lab in found]
 
 
 def find_icc_subgraphs(D: Digraph, mode: str = "exact", exact_bound: int = DEFAULT_EXACT_BOUND) -> CoverPlan:

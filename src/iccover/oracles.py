@@ -21,7 +21,7 @@ from .digraph import (
     iter_mask_vertices,
     shortest_cycle_mask,
 )
-from .errors import InvalidCode, SizeRefusal
+from .errors import InvalidCode, SizeRefusal, _is_count
 from .template import IccTemplate, build_digraph
 
 DEFAULT_MAIS_BOUND = 20
@@ -95,7 +95,7 @@ def code_matrix(code: IndexCode, n: int) -> Gf2Matrix:
     for s in code.symbols:
         row = 0
         for m in s.support:
-            if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= n:
+            if not _is_count(m) or not 1 <= m <= n:
                 raise InvalidCode(f"coded symbol references message {m!r} outside 1..{n}")
             row |= 1 << (m - 1)
         rows.append(row)
@@ -114,9 +114,9 @@ def gf2_decodable(M: Gf2Matrix, side: set[int], target: int) -> bool:
     and side unit vectors cancel that difference.  So one elimination over
     the projected rows decides it.
     """
-    if any(not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= M.ncols for j in side):
+    if any(not _is_count(j) or not 1 <= j <= M.ncols for j in side):
         raise InvalidCode(f"side message ids must lie in 1..{M.ncols}")
-    if not isinstance(target, int) or isinstance(target, bool) or not 1 <= target <= M.ncols:
+    if not _is_count(target) or not 1 <= target <= M.ncols:
         raise InvalidCode(f"target message must lie in 1..{M.ncols}, got {target!r}")
     if target in side:
         raise ValueError(f"target message {target} is already side information")

@@ -24,7 +24,7 @@ from .digraph import (
     pack_cycles,
     shortest_cycle_mask,  # unused; iccbench/tracer.py wraps this binding
 )
-from .errors import EmbeddingError, InvalidCode, InvalidDigraph, SizeRefusal
+from .errors import EmbeddingError, InvalidCode, InvalidDigraph, SizeRefusal, _is_count
 from .finder import DEFAULT_EXACT_BOUND, CoverPlan, _unchecked_plan, exact_mode, find_icc_subgraphs, make_plan, pack_pieces
 from .oracles import mais
 from .template import check_embedding  # unused; iccbench/tracer.py wraps this binding
@@ -266,7 +266,7 @@ def gap_family(k: int) -> Digraph:
     k+i.  The best cycle packing saves only floor(k/2) symbols here while
     a single spanning k-path piece saves k-1.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    if not _is_count(k) or k < 1:
         raise InvalidDigraph(f"family parameter must be a positive integer, got {k!r}")
     if 2 * k > MAX_N:
         raise InvalidDigraph(f"family parameter {k} gives {2 * k} vertices, above the limit of {MAX_N}")

@@ -30,15 +30,11 @@ from itertools import accumulate, permutations
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .digraph import MAX_N, Cycle, Digraph, _load_json, new_digraph
-from .errors import EmbeddingError, FormatError, InvalidDigraph, InvalidTemplate, echo
+from .digraph import MAX_N, Cycle, Digraph, _check_vertex, _load_json, new_digraph
+from .errors import EmbeddingError, FormatError, InvalidCode, InvalidTemplate, _is_count, echo
 
 Coord = tuple  # (i, a) for Type-I, (i, j, a) for Type-II
 Labeling = dict
-
-
-def _is_count(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -214,6 +210,19 @@ def build_digraph(T: IccTemplate) -> tuple[Digraph, Labeling]:
     return new_digraph(T.n, [(a + 1, b + 1) for a, b in _arc_index(T)]), lab
 
 
+def _checked_labeling(T: IccTemplate, labeling: Labeling) -> list[int]:
+    """Message ids of T's coordinates in coords() order; complete and injective."""
+    coords = _coord_tuple(T)
+    try:
+        ids = list(map(labeling.__getitem__, coords))
+    except KeyError:
+        missing = next(c for c in coords if c not in labeling)
+        raise InvalidCode(f"labeling missing coordinate {missing}") from None
+    if len(set(ids)) != len(ids):
+        raise InvalidCode("labeling is not injective")
+    return ids
+
+
 def check_embedding(D: Digraph, T: IccTemplate, labeling: Labeling) -> bool:
     """True iff the labeling maps every template arc onto an arc of D.
 
@@ -224,10 +233,8 @@ def check_embedding(D: Digraph, T: IccTemplate, labeling: Labeling) -> bool:
     if problems:
         raise InvalidTemplate(problems)
     try:
-        ids = list(map(labeling.__getitem__, _coord_tuple(T)))
-    except KeyError:
-        return False
-    if len(set(ids)) != len(ids):
+        ids = _checked_labeling(T, labeling)
+    except InvalidCode:
         return False
     for v in ids:
         if not _is_count(v) or not 1 <= v <= D.n:
@@ -263,8 +270,7 @@ def clique_to_template(D: Digraph, vertices: Iterable[int]) -> tuple[IccTemplate
         raise EmbeddingError("clique must contain at least one vertex")
     mask = 0
     for v in vs:
-        if not _is_count(v) or not 1 <= v <= D.n:
-            raise InvalidDigraph(f"vertex id {v!r} out of range 1..{D.n}")
+        _check_vertex(D.n, v)
         mask |= 1 << (v - 1)
     out = D.out_masks
     for u in vs:

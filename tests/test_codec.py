@@ -45,6 +45,7 @@ from iccover.template import (
     _clique_shape,
     _cycle_shape,
     build_digraph,
+    check_embedding,
     random_template,
     validate_template,
 )
@@ -57,6 +58,11 @@ def test_packet_vector_validation():
         pv.packet(0)
     with pytest.raises(InvalidCode):
         pv.packet(3)
+    for bad_id in (1.5, "1", True):
+        with pytest.raises(InvalidCode, match=f"^message id {bad_id!r} outside"):
+            pv.packet(bad_id)
+    with pytest.raises(InvalidCode, match="^message id .* outside"):
+        pv.packet(10**5000)  # beyond the digit limit of str()
     with pytest.raises(InvalidCode):
         new_packet_vector(0, [])
     with pytest.raises(InvalidCode):
@@ -118,6 +124,18 @@ def test_encode_validations(d1_template):
         encode(T, bad)
     with pytest.raises(InvalidCode):
         encode(T, lab, new_packet_vector(1, [b"\x00"] * 5))  # too few packets
+    # support-only ids become the listing's supports, so each must be a positive int
+    for bad_id in (0, -3, True, "a"):
+        with pytest.raises(InvalidCode, match="is not a positive integer"):
+            encode(T, {**lab, (1, 2): bad_id})
+    with pytest.raises(InvalidCode, match="^message id 1.0 outside"):
+        encode(T, {**lab, (1, 2): 1.0}, rand_packets(8, T.n))
+    # a labeling that check_embedding rejects only for an id's type
+    D, canon = build_digraph(T)
+    one = next(c for c, v in canon.items() if v == 1)
+    assert check_embedding(D, T, canon) and not check_embedding(D, T, {**canon, one: True})
+    with pytest.raises(InvalidCode):
+        encode(T, {**canon, one: True})
 
 
 @pytest.mark.parametrize("odd", [b"\x01", b"\x01\x02\x03"], ids=["short", "long"])
@@ -172,6 +190,10 @@ def test_decode_error_paths(d1_template):
 
     with pytest.raises(DecodeFailure):
         decode_receiver(T, lab, code, 99, side)
+    every = {m: pv.packet(m) for m in range(1, T.n + 1)}
+    for not_an_id in (True, 1.0):  # both equal 1, the id of (1, 2)
+        with pytest.raises(DecodeFailure, match="is not a message id"):
+            decode_receiver(T, lab, code, not_an_id, every)
     with pytest.raises(MissingSidePacket):
         decode_receiver(T, lab, code, recv, {})
     pruned = IndexCode(tuple(code.symbols[1:]), code.xor_bit_ops)

@@ -5,13 +5,17 @@
 Runs ``iccbench/run.py`` unchanged, one subprocess per run, on its three
 workloads at seed 7919: RUNS end-to-end runs (``--trace 0``) of SECONDS
 each per workload, then one ``--trace 1`` run for the per-layer values.
-Both counts are fixed, so every point of the series is comparable.  The
-file, written at the repository root, holds each end-to-end metric's
-median and quartiles over the runs with every run's value, ``correct``
-and the failure counts of every run, the trace run's per-layer values,
-and the Python version, core count and git SHA that run.py records.  The
-deltas of the medians against the newest earlier ``BENCH_*.json``
-(highest label) are printed; nothing is backfilled.
+The end-to-end runs go round-robin, run r of every workload before run
+r + 1 of any, so drift of the host during the series falls on all three
+workloads alike.  Both counts are fixed, so every point of the series is
+comparable.  The file, written at the repository root, holds each
+end-to-end metric's median and quartiles over the runs with every run's
+value, ``correct`` and the failure counts of every run, the trace run's
+per-layer values, and the Python version, core count and git SHA that
+run.py records.  The deltas of the medians against the newest earlier
+``BENCH_*.json`` (highest label) are printed beside both files'
+quartiles; a delta smaller than the wider of the two interquartile
+ranges is marked "within spread".  Nothing is backfilled.
 """
 
 from __future__ import annotations
@@ -48,12 +52,13 @@ def spread(values: list[float]) -> dict:
 def measure() -> dict:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     out: dict = {"seed": SEED, "runs": RUNS, "seconds": SECONDS, "workloads": {}}
-    for workload in WORKLOADS:
-        records = []
-        for _ in range(RUNS):
+    runs: dict[str, list[dict]] = {workload: [] for workload in WORKLOADS}
+    for _ in range(RUNS):
+        for workload in WORKLOADS:
             summary, record = run_once(workload, 0)
-            records.append(record)
+            runs[workload].append(record)
             print(f"{workload}: {json.dumps(summary['metrics'])}", file=sys.stderr)
+    for workload, records in runs.items():
         _, traced = run_once(workload, 1)
         out.update({key: records[0][key] for key in ("python", "implementation", "cores", "git_sha")})
         out["workloads"][workload] = {
@@ -90,9 +95,16 @@ def print_delta(new: dict, old_path: Path | None) -> None:
         before = old["workloads"].get(workload, {}).get("end_to_end", {})
         for name, stat in now["end_to_end"].items():
             if name in before:
-                was = before[name]["median"]
+                old_stat = before[name]
+                was = old_stat["median"]
                 change = f"{stat['median'] / was - 1:+.1%}" if was else "n/a"
-                print(f"  {workload:17s} {name:20s} {was:.6g} -> {stat['median']:.6g} {stat['unit']} ({change}, {stat['better']} is better)")
+                iqr = max(old_stat["q3"] - old_stat["q1"], stat["q3"] - stat["q1"])
+                verdict = ", within spread" if abs(stat["median"] - was) < iqr else ""
+                print(
+                    f"  {workload:17s} {name:20s} {was:.6g} [{old_stat['q1']:.6g}, {old_stat['q3']:.6g}]"
+                    f" -> {stat['median']:.6g} [{stat['q1']:.6g}, {stat['q3']:.6g}] {stat['unit']}"
+                    f" ({change}{verdict}, {stat['better']} is better)"
+                )
 
 
 def main(argv=None) -> int:
