@@ -16,8 +16,9 @@ def echo(value) -> str:
 
 
 def _is_count(x) -> bool:
-    """An int and not a bool: the type every id, count and length must have."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    """An int and not a bool: the type every id, count and length must have;
+    an exact int, the common case, passes on type() without a call."""
+    return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
 
 
 class IccoverError(Exception):
