@@ -18,6 +18,9 @@ every start in ascending order, the cap one below the best length found
 so far.  ``pack_cycles`` is the greedy planners' incremental form of
 repeated ``shortest_cycle_mask`` calls, each found cycle deleted before
 the next; it runs the same BFS, capped at the first length in its queue.
+``_greedy_cycles`` (its packing of all of D) and ``_greedy_cliques`` keep
+their result for the last Digraph value asked, so that a greedy
+``compare`` computes each once for all of its planners.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import json
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import FormatError, InvalidDigraph, _is_count, echo
@@ -300,6 +304,11 @@ def pack_cycles(out_m: tuple[int, ...], mask: int) -> list[tuple[int, ...]]:
     return cycles
 
 
+@lru_cache(maxsize=1)
+def _greedy_cycles(D: Digraph) -> tuple[tuple[int, ...], ...]:
+    return tuple(pack_cycles(D.out_masks, full_mask(D.n)))
+
+
 def _start_cycle(out_m: tuple[int, ...], sbit: int, above: int, cap: int) -> tuple[int, tuple[int, ...] | None] | None:
     """(length, cycle) for s through above, by shortest_cycle_mask's tie
     rule; (cap + 1, None) when longer than cap; None when there is none."""
@@ -374,3 +383,45 @@ def strongly_connected_mask(out_m: tuple[int, ...], in_m: tuple[int, ...], mask:
         return False
     start = mask & -mask
     return _reach_mask(out_m, mask, start) == mask and _reach_mask(in_m, mask, start) == mask
+
+
+def _mutual_masks(D: Digraph) -> list[int]:
+    return [o & i for o, i in zip(D.out_masks, D.in_masks)]
+
+
+def _greedy_clique_partition(D: Digraph) -> list[list[int]]:
+    """Maximal groups, each seeded by the highest mutual degree among the
+    remaining vertices (ties to the lowest id), members added in the
+    same order.
+
+    Degrees are kept incrementally: removing a group lowers only its
+    members' remaining mutual neighbors.  Once the highest degree is 0,
+    every remaining vertex is a group of its own, in ascending order.
+    """
+    mut = _mutual_masks(D)
+    deg = [m.bit_count() for m in mut]
+    remaining = full_mask(D.n)
+    groups: list[list[int]] = []
+    while remaining:
+        verts = list(iter_mask_vertices(remaining))
+        # max returns the first maximal vertex, that is the lowest id
+        seed = max(verts, key=deg.__getitem__)
+        if deg[seed] == 0:
+            groups.extend([v] for v in verts)
+            break
+        cmask = 1 << (seed - 1)
+        for u in sorted(iter_mask_vertices(mut[seed] & remaining), key=lambda v: (-deg[v], v)):
+            if (mut[u] & cmask) == cmask:
+                cmask |= 1 << (u - 1)
+        remaining &= ~cmask
+        group = list(iter_mask_vertices(cmask))
+        for u in group:
+            for w in iter_mask_vertices(mut[u] & remaining):
+                deg[w] -= 1
+        groups.append(group)
+    return groups
+
+
+@lru_cache(maxsize=1)
+def _greedy_cliques(D: Digraph) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, _greedy_clique_partition(D)))

@@ -12,7 +12,11 @@ and only on terminal sets in which every terminal reaches every other.
 Greedy mode packs shortest cycles first (each a k = 2 piece) and then
 tries to merge pieces pairwise into higher-k templates, skipping pairs
 with arcs one way only between them: two disjoint such pieces have a
-union that is not strongly connected, where max_piece finds nothing.
+union that is not strongly connected, where max_piece finds nothing,
+and unions already refused at the same kmin.  Cliques are templates
+too, so greedy mode returns the greedy clique partition's groups of two
+or more when they save strictly more.  Exact mode leaves mais(D), the
+last entry of its subset table, in _planned_mais for oracles.mais.
 
 Host arcs beyond the template's own are allowed inside a piece; extra
 side information never hurts decodability.
@@ -29,22 +33,24 @@ from .digraph import (
     EXACT_LIMIT,
     Cycle,
     Digraph,
+    _greedy_cliques,
+    _greedy_cycles,
     _reach_mask,
     full_mask,
     is_acyclic_mask,
     iter_mask_vertices,
-    pack_cycles,
     shortest_cycle_mask,  # unused; iccbench/tracer.py wraps this binding
     strongly_connected_mask,
 )
 from .errors import EmbeddingError, SizeRefusal
-from .template import IccTemplate, Labeling, check_embedding, cycle_to_template
+from .template import IccTemplate, Labeling, check_embedding, clique_to_template, cycle_to_template
 
 DEFAULT_EXACT_BOUND = 12
 
 Piece = tuple[IccTemplate, Labeling]
 # internal: (k, template, labeling) for one spanning embedding
 Embedding = tuple[int, IccTemplate, Labeling]
+_planned_mais: tuple[Digraph, int] | None = None  # (D, mais(D)) for the D _exact_cover planned last
 
 
 @dataclass(frozen=True)
@@ -356,9 +362,11 @@ def _mais_table(out_m: tuple[int, ...], in_m: tuple[int, ...], n: int) -> list[i
 
 
 def _exact_cover(D: Digraph) -> list[Piece]:
+    global _planned_mais
     if is_acyclic_mask(D.in_masks, full_mask(D.n)):
         return []
     mais_of = _mais_table(D.out_masks, D.in_masks, D.n)
+    _planned_mais = (D, mais_of[-1])
     search = _EmbeddingSearch(D.out_masks, D.in_masks)
     emb: dict[int, Embedding] = {}
 
@@ -377,24 +385,30 @@ def _exact_cover(D: Digraph) -> list[Piece]:
 
 def _greedy_cover(D: Digraph, merge_bound: int) -> list[Piece]:
     out_m, in_m = D.out_masks, D.in_masks
-    cycles = pack_cycles(out_m, full_mask(D.n))
+    cycles = _greedy_cycles(D)
     found: list[Embedding] = [(2, *cycle_to_template(Cycle(c), (len(c) + 1) // 2)) for c in cycles]
     # each piece's vertex mask, and the union of its vertices' out-masks
     verts = [sum(1 << (v - 1) for v in c) for c in cycles]
     outs = [reduce(or_, [out_m[v] for v in c]) for c in cycles]
     search = _EmbeddingSearch(out_m, in_m)
+    failed: set[tuple[int, int]] = set()  # (union, kmin) that max_piece refused
     while True:  # after each merge, scan the pairs again from the first
         for a, b in combinations(range(len(found)), 2):
             union = verts[a] | verts[b]
             if union.bit_count() > merge_bound or not (outs[a] & verts[b] and outs[b] & verts[a]):
                 continue
             # a merge must save at least what the two pieces save apart
-            got = search.max_piece(union, found[a][0] + found[b][0])
+            tried = (union, found[a][0] + found[b][0])
+            got = None if tried in failed else search.max_piece(*tried)
             if got is not None:
                 found[a], verts[a], outs[a] = got, union, outs[a] | outs[b]
                 del found[b], verts[b], outs[b]
                 break
+            failed.add(tried)
         else:
+            groups = [g for g in _greedy_cliques(D) if len(g) > 1]
+            if sum(map(len, groups)) - len(groups) > sum(k - 1 for k, _, _ in found):
+                return [clique_to_template(D, g) for g in groups]
             return [(T, lab) for _, T, lab in found]
 
 

@@ -4,13 +4,15 @@ and structural cycle checks.
 Everything here re-derives properties from first principles so the codec
 and the planners can be cross-checked rather than trusted: decodability
 by rank over GF(2) instead of the structural chains, the broadcast lower
-bound by brute force over induced subgraphs.
+bound by brute force over induced subgraphs, or, for the digraph the
+exact finder planned last, read off its subset table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import finder
 from .codec import IndexCode, code_length
 from .digraph import (
     DEFAULT_CYCLE_CAP,
@@ -178,10 +180,13 @@ def mais(D: Digraph, bound: int = DEFAULT_MAIS_BOUND) -> int:
     before it, so that no cut is searched twice; prune with a greedy
     disjoint-cycle lower bound.  The first leaf deletes the first vertex
     of each shortest cycle in turn, so the search starts from that greedy
-    cut.
+    cut.  The digraph the exact finder planned last skips the search.
     """
     if D.n > bound:
         raise SizeRefusal(f"exact acyclic-set search is limited to {bound} vertices (digraph has {D.n})")
+    planned = finder._planned_mais
+    if planned is not None and planned[0] == D:
+        return planned[1]
     return D.n - _min_cycle_cut(D.out_masks, full_mask(D.n), 0, 0, D.n)
 
 

@@ -18,10 +18,12 @@ from .digraph import (
     MAX_N,
     Cycle,
     Digraph,
+    _greedy_cliques,
+    _greedy_cycles,
+    _mutual_masks,
     full_mask,
     iter_mask_vertices,
     new_digraph,
-    pack_cycles,
     shortest_cycle_mask,  # unused; iccbench/tracer.py wraps this binding
 )
 from .errors import EmbeddingError, InvalidCode, InvalidDigraph, SizeRefusal, _is_count
@@ -107,16 +109,12 @@ def cycle_cover(D: Digraph, mode: str = "exact", exact_bound: int = DEFAULT_EXAC
     Exact mode maximizes the number of disjoint cycles; greedy repeatedly
     removes a shortest cycle.
     """
-    cycles = _exact_cycle_packing(D) if exact_mode(D, mode, exact_bound, "cycle packing") else pack_cycles(D.out_masks, full_mask(D.n))
+    cycles = _exact_cycle_packing(D) if exact_mode(D, mode, exact_bound, "cycle packing") else _greedy_cycles(D)
     pieces = [cycle_to_template(Cycle(c), (len(c) + 1) // 2) for c in cycles]
     return _unchecked_plan(D, pieces)
 
 
 # ---------- clique partition ----------
-
-
-def _mutual_masks(D: Digraph) -> list[int]:
-    return [o & i for o, i in zip(D.out_masks, D.in_masks)]
 
 
 def _exact_clique_partition(D: Digraph) -> list[list[int]]:
@@ -166,39 +164,6 @@ def _exact_clique_partition(D: Digraph) -> list[list[int]]:
     return groups
 
 
-def _greedy_clique_partition(D: Digraph) -> list[list[int]]:
-    """Maximal groups, each seeded by the highest mutual degree among the
-    remaining vertices (ties to the lowest id), members added in the
-    same order.
-
-    Degrees are kept incrementally: removing a group lowers only its
-    members' remaining mutual neighbors.  Once the highest degree is 0,
-    every remaining vertex is a group of its own, in ascending order.
-    """
-    mut = _mutual_masks(D)
-    deg = [m.bit_count() for m in mut]
-    remaining = full_mask(D.n)
-    groups: list[list[int]] = []
-    while remaining:
-        verts = list(iter_mask_vertices(remaining))
-        # max returns the first maximal vertex, that is the lowest id
-        seed = max(verts, key=deg.__getitem__)
-        if deg[seed] == 0:
-            groups.extend([v] for v in verts)
-            break
-        cmask = 1 << (seed - 1)
-        for u in sorted(iter_mask_vertices(mut[seed] & remaining), key=lambda v: (-deg[v], v)):
-            if (mut[u] & cmask) == cmask:
-                cmask |= 1 << (u - 1)
-        remaining &= ~cmask
-        group = list(iter_mask_vertices(cmask))
-        for u in group:
-            for w in iter_mask_vertices(mut[u] & remaining):
-                deg[w] -= 1
-        groups.append(group)
-    return groups
-
-
 def clique_cover(D: Digraph, mode: str = "exact", exact_bound: int = DEFAULT_EXACT_BOUND) -> CoverPlan:
     """Partition into bidirectionally complete groups, singletons included.
 
@@ -207,7 +172,7 @@ def clique_cover(D: Digraph, mode: str = "exact", exact_bound: int = DEFAULT_EXA
     minimizes the number of groups; greedy extracts maximal groups seeded
     by highest mutual degree.
     """
-    groups = _exact_clique_partition(D) if exact_mode(D, mode, exact_bound, "clique partition") else _greedy_clique_partition(D)
+    groups = _exact_clique_partition(D) if exact_mode(D, mode, exact_bound, "clique partition") else _greedy_cliques(D)
     pieces = [clique_to_template(D, g) for g in groups]
     return _unchecked_plan(D, pieces)
 

@@ -218,8 +218,11 @@ def _checked_labeling(T: IccTemplate, labeling: Labeling) -> list[int]:
     except KeyError:
         missing = next(c for c in coords if c not in labeling)
         raise InvalidCode(f"labeling missing coordinate {missing}") from None
-    if len(set(ids)) != len(ids):
-        raise InvalidCode("labeling is not injective")
+    try:
+        if len(set(ids)) != len(ids):
+            raise InvalidCode("labeling is not injective")
+    except TypeError:
+        raise InvalidCode("labeling has an unhashable message id") from None
     return ids
 
 

@@ -204,6 +204,22 @@ def test_decode_error_paths(d1_template):
         decode_receiver(T, lab, hollow, recv, side)
 
 
+def test_unhashable_id_is_a_typed_error(d1_template):
+    T, lab = d1_template
+    pv = rand_packets(8, T.n)
+    code = encode(T, lab, pv)
+    D, canon = build_digraph(T)
+    every = {m: pv.packet(m) for m in range(1, T.n + 1)}
+    bad = {**lab, (1, 2): [1]}
+    for packets in (None, pv):
+        with pytest.raises(InvalidCode, match="unhashable message id"):
+            encode(T, bad, packets)
+    one = next(c for c, v in canon.items() if v == 1)
+    assert not check_embedding(D, T, {**canon, one: [1]})
+    with pytest.raises(InvalidCode, match="unhashable message id"):
+        decode_receiver(T, bad, code, lab[(1, 1)], every)
+
+
 def _with_payload(code, index, payload):
     symbols = list(code.symbols)
     symbols[index] = CodedSymbol(symbols[index].support, payload, symbols[index].tag)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iccover.digraph import Cycle, full_mask, is_acyclic_mask, new_digraph, shortest_cycle_mask
+from iccover.digraph import Cycle, _greedy_clique_partition, full_mask, is_acyclic_mask, new_digraph, shortest_cycle_mask
 from iccover.errors import EmbeddingError, SizeRefusal
 from iccover.finder import (
     DEFAULT_EXACT_BOUND,
@@ -15,8 +15,8 @@ from iccover.finder import (
     make_plan,
 )
 from iccover.oracles import mais, verify_code
-from iccover.schemes import assemble_code, gap_family, plan_length
-from iccover.template import build_digraph, check_embedding, cycle_to_template
+from iccover.schemes import assemble_code, clique_cover, cycle_cover, gap_family, icc_cover, plan_length
+from iccover.template import build_digraph, check_embedding, clique_to_template, cycle_to_template
 
 
 def assert_plan_shape(D, plan):
@@ -289,7 +289,9 @@ def test_dense_twelve_vertex_instance_is_certified_optimal():
 
 def reference_greedy_plan(D, merge_bound=DEFAULT_EXACT_BOUND):
     """Greedy plan by repeated shortest_cycle_mask, then every pair of
-    pieces tried for a merge, with no prefilter."""
+    pieces tried for a merge, with no prefilter; the greedy clique
+    partition's groups of two or more instead when they save strictly
+    more."""
     out_m = D.out_masks
     pool = full_mask(D.n)
     found = []
@@ -321,6 +323,9 @@ def reference_greedy_plan(D, merge_bound=DEFAULT_EXACT_BOUND):
                     break
             if merged:
                 break
+    groups = [g for g in _greedy_clique_partition(D) if len(g) >= 2]
+    if sum(len(g) - 1 for g in groups) > sum(k - 1 for k, _, _ in found):
+        return make_plan(D, [clique_to_template(D, g) for g in groups])
     return make_plan(D, [(T, lab) for _, T, lab in found])
 
 
@@ -342,12 +347,12 @@ def test_greedy_plan_matches_reference_at_scale(n):
     assert repr(find_icc_subgraphs(D, "greedy")) == repr(reference_greedy_plan(D))
 
 
-def count_max_piece_calls(monkeypatch):
+def count_max_piece_calls(monkeypatch, with_args=False):
     calls = []
     real = _EmbeddingSearch.max_piece
 
     def counted(self, mask, *args):
-        calls.append(mask)
+        calls.append((mask, *args) if with_args else mask)
         return real(self, mask, *args)
 
     monkeypatch.setattr(_EmbeddingSearch, "max_piece", counted)
@@ -371,3 +376,23 @@ def test_greedy_keeps_accepted_merges(monkeypatch):
     assert calls == [full_mask(8)]
     assert [T.k for T, _ in plan.pieces] == [4] and plan.uncovered == ()
     assert repr(plan) == repr(reference_greedy_plan(D))
+
+
+def test_greedy_never_retries_a_failed_merge(monkeypatch):
+    # a dense draw, where most pairs fail and every merge rescans them
+    D = random_digraph(random.Random(400), 60, 0.5)
+    calls = count_max_piece_calls(monkeypatch, with_args=True)
+    plan = find_icc_subgraphs(D, "greedy")
+    assert len(calls) > 100
+    assert len(set(calls)) == len(calls)
+    monkeypatch.undo()
+    assert repr(plan) == repr(reference_greedy_plan(D))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(greedy_digraphs())
+def test_icc_is_never_longer_than_cycle_or_clique_cover(D):
+    # ICC generalizes both, in either mode; exact mode only where it is quick
+    for mode in ("greedy", "exact") if D.n <= 8 else ("greedy",):
+        l_cyc, l_cc, l_icc = (plan_length(D, cover(D, mode)) for cover in (cycle_cover, clique_cover, icc_cover))
+        assert l_icc <= min(l_cyc, l_cc), mode

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iccover.codec import IndexCode, CodedSymbol, encode
-from iccover.digraph import new_digraph, side_info
+from iccover.digraph import full_mask, new_digraph, side_info
+from iccover.finder import find_icc_subgraphs
 from iccover.schemes import assemble_code, clique_cover, cycle_cover, gap_family, icc_cover
 from iccover.errors import InvalidCode, SizeRefusal
 from iccover.oracles import (
     Gf2Matrix,
+    _min_cycle_cut,
     certify_optimality,
     check_lemma2,
     code_matrix,
@@ -152,6 +154,16 @@ def seeded_digraphs(draw, max_n=12):
 @given(seeded_digraphs())
 def test_mais_matches_exhaustive_property(D):
     assert mais(D) == mais_exhaustive(D)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seeded_digraphs(max_n=9))
+def test_mais_paths_agree_after_exact_planning(D):
+    # exact planning leaves mais(D) from its subset table, which mais then
+    # returns; the branch and bound still gets the same value by itself
+    find_icc_subgraphs(D)
+    cut = D.n - _min_cycle_cut(D.out_masks, full_mask(D.n), 0, 0, D.n)
+    assert mais(D) == cut == mais_exhaustive(D)
 
 
 @pytest.mark.parametrize(

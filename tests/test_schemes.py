@@ -7,15 +7,25 @@ from hypothesis import strategies as st
 
 from conftest import rand_packets
 from iccover.codec import TAG_UNCODED
-from iccover.digraph import MAX_N, Cycle, full_mask, iter_mask_vertices, new_digraph, side_info
+from iccover import finder
+from iccover.digraph import (
+    MAX_N,
+    Cycle,
+    _greedy_clique_partition,
+    _greedy_cliques,
+    _greedy_cycles,
+    _mutual_masks,
+    full_mask,
+    iter_mask_vertices,
+    new_digraph,
+    side_info,
+)
 from iccover.errors import EmbeddingError, InvalidDigraph, SizeRefusal
 from iccover.finder import CoverPlan, make_plan
-from iccover.oracles import mais, verify_code
+from iccover.oracles import mais, mais_exhaustive, verify_code
 from iccover.schemes import (
     _exact_clique_partition,
     _exact_cycle_packing,
-    _greedy_clique_partition,
-    _mutual_masks,
     assemble_code,
     clique_cover,
     compare,
@@ -488,3 +498,69 @@ def test_planner_pieces_of_one_shape_share_one_template():
         assert verify_code(D, assemble_code(D, plan, rand_packets(16, 6))).valid
         assert T._sound is True and validate_template(T) == []
 
+
+# ---------- greedy ICC against the schemes it generalizes ----------
+
+
+@pytest.mark.parametrize(
+    "n,p,l_icc",
+    [(13, 0.7, 6), (20, 0.5, 10), (40, 0.3, 22), (64, 1.0, 1)],
+    ids=["n13", "n20", "n40", "complete64"],
+)
+def test_greedy_icc_is_never_longer_than_the_clique_cover(n, p, l_icc):
+    # these reports had l_icc one longer than l_cc (five longer on K_64)
+    # before greedy ICC fell back to the clique partition
+    D = random_digraph(random.Random(n), n, p)
+    r = compare(D)
+    assert r.l_icc == l_icc == min(r.l_cyc, r.l_cc)
+    assert verify_code(D, assemble_code(D, icc_cover(D, "greedy")))
+
+
+# ---------- one analysis per compare ----------
+
+
+def clear_memos(monkeypatch):
+    _greedy_cycles.cache_clear()
+    _greedy_cliques.cache_clear()
+    monkeypatch.setattr(finder, "_planned_mais", None)
+
+
+def every_analysis(D):
+    plans = [planner(D, mode, D.n) for mode in ("exact", "greedy") for planner in PLANNERS]
+    return plans, compare(D), compare(D, exact_bound=D.n - 1), mais(D)
+
+
+def test_memos_give_what_a_cleared_cache_gives(monkeypatch):
+    rng = random.Random(21)
+    D1, D2 = random_digraph(rng, 9, 0.35), random_digraph(rng, 10, 0.5)
+    copy = new_digraph(D1.n, D1.arcs)
+    assert copy == D1 and copy is not D1
+    for D in (D1, D2, D1, copy):
+        got = every_analysis(D)
+        clear_memos(monkeypatch)
+        assert got == every_analysis(D)
+
+
+def test_memos_hold_one_immutable_entry():
+    D = random_digraph(random.Random(22), 30, 0.2)
+    cycles, groups = _greedy_cycles(D), _greedy_cliques(D)
+    for cached in (cycles, groups):
+        assert type(cached) is tuple and all(type(part) is tuple for part in cached)
+    assert [list(g) for g in groups] == _greedy_clique_partition(D)
+    icc_cover(D, "greedy")
+    assert _greedy_cycles.cache_info().currsize == _greedy_cliques.cache_info().currsize == 1
+    assert _greedy_cycles(D) is cycles and _greedy_cliques(D) is groups
+    small = random_digraph(random.Random(23), 8, 0.4)
+    icc_cover(small)
+    assert finder._planned_mais == (small, mais_exhaustive(small))
+
+
+def test_mais_of_another_digraph_is_searched(monkeypatch):
+    rng = random.Random(24)
+    D1, D2 = random_digraph(rng, 9, 0.4), random_digraph(rng, 9, 0.4)
+    assert D1 != D2
+    icc_cover(D1)  # exact: leaves mais(D1) behind
+    assert mais(D2) == mais_exhaustive(D2)
+    # exact compare reads mais from the planner's subset table, no search
+    monkeypatch.setattr("iccover.oracles._min_cycle_cut", None)
+    assert compare(D1).mais == mais(D1) == mais_exhaustive(D1)
