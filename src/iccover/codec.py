@@ -11,13 +11,15 @@ the top bits and stay zero.
 Each immutable template compiles its codec work once, as coordinate
 positions read off its arc list: the emission rows and each position's
 decoding chain (``_chain``).  ``encode`` calls ``from_bytes`` once per
-packet of the piece and ``to_bytes`` once per symbol.
-``decode_receiver`` finds the receiver among the labeling's coordinates,
-reads a payload's int from the code, which converts each payload once,
-on its first fetch, and calls ``to_bytes`` once per receiver.  Every
-entry point calls ``validate_template``, which reads the verdict the
-immutable template keeps; a labeling is the caller's dict, so it is
-checked on every call.
+packet of the piece and ``to_bytes`` once per symbol, and the code it
+(or ``assemble_code``) returns carries those packet and payload ints.
+``decode_receiver`` finds the receiver among the labeling's coordinates
+and calls ``to_bytes`` once; it calls ``from_bytes`` only on a side packet
+that is not the packet object the code's encoder read, and on a coded
+payload of a code built another way (``parse_code``, a hand-built
+``IndexCode``), once, on its first fetch.  Every entry point calls
+``validate_template``, which reads the verdict the immutable template
+keeps; a labeling is the caller's dict, so it is checked on every call.
 """
 
 from __future__ import annotations
@@ -115,8 +117,9 @@ class CodedSymbol:
     payload: bytes | None = None
     tag: str | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "support", frozenset(self.support))
+    def __init__(self, support: frozenset[int], payload: bytes | None = None, tag: str | None = None):
+        # one dict update, not a setattr call per field; frozenset() returns a frozenset as is
+        self.__dict__.update(support=frozenset(support), payload=payload, tag=tag)
 
 
 @dataclass(frozen=True)
@@ -139,9 +142,15 @@ class IndexCode:
         return {s.support: s for s in self.symbols}
 
     @cached_property
-    def _ints(self) -> dict[frozenset[int], tuple[int, int]]:
-        """Payload int and byte width of each support a decoder has fetched."""
+    def _ints(self) -> dict[frozenset[int] | int, tuple]:
+        """Per support, its payload's int and width (see _carrying); per id, (int, packet) of a packet encode read."""
         return {}
+
+
+def _carrying(code: IndexCode, ints: dict[frozenset[int] | int, tuple]) -> IndexCode:
+    """code, holding the ints its encoder converted, so that no decoder converts them again."""
+    code.__dict__["_ints"] = ints
+    return code
 
 
 def _compiled(T: IccTemplate) -> tuple[list[tuple[tuple[int, ...], str]], int, dict, dict, dict]:
@@ -179,18 +188,21 @@ def encode(T: IccTemplate, labeling: Labeling, packets: PacketVector | None = No
         for m in ids:
             if not _is_count(m) or m < 1:
                 raise InvalidCode(f"message id {echo(m)} is not a positive integer")
-    else:
-        own = list(map(packets.packet, ids))
-        width = len(own[0])
-        if any(len(p) != width for p in own):
-            for row, _ in rows:  # the rows connect every coordinate, so one raises
-                _xor_all([own[p] for p in row])
-        xs = [int.from_bytes(p, "little") for p in own]
-    symbols = []
+        return IndexCode(tuple([CodedSymbol(frozenset(map(ids.__getitem__, row)), None, tag) for row, tag in rows]))
+    vec = packets.packets
+    in_vector = set(map(type, ids)) == {int} and 0 < min(ids) and max(ids) <= len(vec)  # one id check for the piece
+    own = [vec[m - 1] for m in ids] if in_vector else list(map(packets.packet, ids))  # packet() raises at a bad id
+    width = len(own[0])
+    if len(set(map(len, own))) > 1:
+        for row, _ in rows:  # the rows connect every coordinate, so one raises
+            _xor_all([own[p] for p in row])
+    xs = [int.from_bytes(p, "little") for p in own]
+    symbols, ints = [], dict(zip(ids, zip(xs, own)))
     for row, tag in rows:
-        payload = None if packets is None else reduce(xor, map(xs.__getitem__, row)).to_bytes(width, "little")
-        symbols.append(CodedSymbol(frozenset([ids[p] for p in row]), payload, tag))
-    return IndexCode(tuple(symbols), xor_bit_ops=None if packets is None else xor_terms * packets.t)
+        support, x = frozenset(map(ids.__getitem__, row)), reduce(xor, map(xs.__getitem__, row))
+        ints[support] = (x, width)
+        symbols.append(CodedSymbol(support, x.to_bytes(width, "little"), tag))
+    return _carrying(IndexCode(tuple(symbols), xor_bit_ops=xor_terms * packets.t), ints)
 
 
 def code_length(T: IccTemplate) -> int:
@@ -238,25 +250,28 @@ def _chain(T: IccTemplate, p: int) -> tuple:
 def _fold(steps, ids: list[int], code: IndexCode, side_packets: dict[int, bytes]) -> bytes:
     """XOR the operands of decoding steps, positions read through `ids`;
     each operand's width is checked before the next step."""
-    ints, width, acc = code._ints, None, 0
+    ints, width, acc, get = code._ints, None, 0, ids.__getitem__
     for row, c in steps:
         if row is None:
-            m = ids[c]
-            if m not in side_packets:
-                raise MissingSidePacket(m)
-            x, w = int.from_bytes(side_packets[m], "little"), len(side_packets[m])
+            try:
+                p = side_packets[ids[c]]
+            except KeyError:
+                raise MissingSidePacket(ids[c]) from None
+            x, q = ints.get(ids[c], (None, None))  # q: the packet object encode read for this id
+            x, w = x if q is p else int.from_bytes(p, "little"), len(p)
         else:
-            support = frozenset([ids[p] for p in row])
-            if support not in ints:
+            support = frozenset(map(get, row))
+            try:
+                x, w = ints[support]
+            except KeyError:
                 sym = code._by_support.get(support)
                 if sym is None:
-                    raise MissingCodedSymbol(support)
+                    raise MissingCodedSymbol(support) from None
                 if sym.payload is None:
                     names = "+".join(f"x{i}" for i in sorted(support))
-                    raise DecodeFailure(f"coded symbol {names} carries no payload")
-                ints[support] = (int.from_bytes(sym.payload, "little"), len(sym.payload))
-            x, w = ints[support]
-        if width is not None and w != width:
+                    raise DecodeFailure(f"coded symbol {names} carries no payload") from None
+                x, w = ints[support] = int.from_bytes(sym.payload, "little"), len(sym.payload)
+        if w != width and width is not None:
             raise InvalidCode(f"packet length mismatch: {width} vs {w} bytes")
         width, acc = w, acc ^ x
     return acc.to_bytes(width, "little")

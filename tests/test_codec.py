@@ -14,6 +14,7 @@ from iccover.codec import (
     TAG_PATH_I,
     TAG_PATH_II,
     TAG_SUM,
+    TAG_UNCODED,
     IndexCode,
     CodedSymbol,
     PacketVector,
@@ -31,7 +32,7 @@ from iccover.codec import (
     xor_bytes,
     xor_op_count,
 )
-from iccover.digraph import side_info
+from iccover.digraph import new_digraph, side_info
 from iccover.errors import (
     DecodeFailure,
     FormatError,
@@ -40,6 +41,8 @@ from iccover.errors import (
     MissingCodedSymbol,
     MissingSidePacket,
 )
+from iccover.finder import make_plan
+from iccover.schemes import assemble_code, clique_cover, cycle_cover, icc_cover
 from iccover.template import (
     IccTemplate,
     _clique_shape,
@@ -725,3 +728,102 @@ def test_payload_free_symbol_fails_on_every_call(k, seed, data):
     assert failed[0] == failed[1] != set()
     assert symbols[hole].support not in code._ints
     assert code._ints or failed[0] == set(receivers)  # the other receivers filled the cache
+
+
+# ---------- payload ints handed from the encoder to its code ----------
+
+
+@st.composite
+def coded_plans(draw):
+    """A random template's own plan, or a cycle, clique or ICC plan of a
+    random host: greedy with n <= 40, exact with n <= 10."""
+    seed = draw(st.integers(0, 2**16))
+    mode = draw(st.sampled_from(["template", "greedy", "exact"]))
+    if mode == "template":
+        T = random_template(draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.sampled_from([0.0, 0.3, 1.0])), seed)
+        D, lab = build_digraph(T)
+        return D, make_plan(D, [(T, lab)])
+    rng = random.Random(seed)
+    n, p = draw(st.integers(1, 40 if mode == "greedy" else 10)), draw(st.floats(0.0, 1.0))
+    D = new_digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v and rng.random() < p])
+    return D, draw(st.sampled_from([cycle_cover, clique_cover, icc_cover]))(D, mode)
+
+
+def _flip(payload, j):
+    return payload[:j] + bytes([payload[j] ^ 1]) + payload[j + 1 :]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(coded_plans(), st.integers(1, 40), st.data())
+def test_handed_ints_decode_as_the_lazy_path_does(plan_of, t, data):
+    """assemble_code's code carries the int of every coded payload and of
+    every packet its pieces read; every receiver decodes from it as from
+    the reference and from the parsed listing, which converts lazily; a
+    side packet that is not the encoded packet object is converted, so an
+    equal copy decodes the same and a flipped one as the reference does;
+    and a new IndexCode with a flipped payload byte starts with no ints,
+    so it decodes the flipped bytes."""
+    D, plan = plan_of
+    pv = rand_packets(t, D.n, random.Random(t))
+    code = assemble_code(D, plan, pv)
+    lazy = parse_code(serialize_code(code))
+    supports = {key for key in code._ints if isinstance(key, frozenset)}
+    assert supports == {s.support for s in code.symbols if s.tag != TAG_UNCODED}
+    for support in supports:
+        payload = code._by_support[support].payload
+        assert code._ints[support] == (int.from_bytes(payload, "little"), len(payload))
+    read = sorted(key for key in code._ints if key not in supports)
+    assert read == sorted(v for _, lab in plan.pieces for v in lab.values())
+    for m in read:
+        x, packet = code._ints[m]
+        assert packet is pv.packet(m) and x == int.from_bytes(packet, "little")
+    receivers = [(T, lab, v, {m: pv.packet(m) for m in side_info(D, v)}) for T, lab in plan.pieces for v in lab.values()]
+    j = data.draw(st.integers(0, packet_bytes(t) - 1))
+    for T, lab, v, side in receivers:
+        got = decode_receiver(T, lab, code, v, side)
+        assert got == pv.packet(v) == _reference_decode(T, lab, code, v, side) == decode_receiver(T, lab, lazy, v, side)
+        assert decode_receiver(T, lab, code, v, {m: bytes(bytearray(p)) for m, p in side.items()}) == got
+        flipped_side = {m: _flip(p, j) for m, p in side.items()}
+        assert decode_receiver(T, lab, code, v, flipped_side) == _reference_decode(T, lab, code, v, flipped_side)
+    coded = [i for i, s in enumerate(code.symbols) if s.tag != TAG_UNCODED]
+    if not coded:
+        return
+    i = data.draw(st.sampled_from(coded))
+    symbols = list(code.symbols)
+    symbols[i] = CodedSymbol(symbols[i].support, _flip(symbols[i].payload, j), symbols[i].tag)
+    flipped = IndexCode(tuple(symbols), code.xor_bit_ops)
+    affected = 0
+    for T, lab, v, side in receivers:
+        got = decode_receiver(T, lab, flipped, v, side)
+        assert got == _reference_decode(T, lab, flipped, v, side)
+        assert got in (pv.packet(v), _flip(pv.packet(v), j))
+        affected += got != pv.packet(v)
+    assert affected  # every coded symbol is read by some receiver
+
+
+# ---------- serializer output round-trips byte for byte ----------
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 5),
+    max_path_len=st.integers(1, 3),
+    density=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**16),
+    t=st.integers(1, 40),
+)
+def test_serializer_output_round_trips_byte_for_byte(k, max_path_len, density, seed, t):
+    T = random_template(k, max_path_len, density, seed)
+    D, lab = build_digraph(T)
+    pv = rand_packets(t, T.n, random.Random(seed))
+    for code in (encode(T, lab), encode(T, lab, pv)):
+        text = serialize_code(code)
+        back = parse_code(text)
+        assert [(s.support, s.payload) for s in back.symbols] == [(s.support, s.payload) for s in code.symbols]
+        assert serialize_code(back) == text
+    text = serialize_packets(pv)
+    assert parse_packets(text) == pv and serialize_packets(parse_packets(text)) == text
+    for v in range(1, T.n + 1):
+        side = {m: pv.packet(m) for m in side_info(D, v)}
+        text = serialize_side(t, side)
+        assert parse_side(text) == (t, side) and serialize_side(*parse_side(text)) == text

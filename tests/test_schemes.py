@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_packets
-from iccover.codec import TAG_UNCODED
+from iccover.codec import TAG_UNCODED, decode_receiver
 from iccover import finder
 from iccover.digraph import (
     MAX_N,
@@ -472,6 +472,26 @@ def test_every_planner_returns_only_embedded_disjoint_pieces(D):
         # exact mode saves the most; no index code is shorter than mais
         assert ex.savings >= gr.savings, planner.__name__
         assert plan_length(D, ex) >= lower and plan_length(D, gr) >= lower, planner.__name__
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(digraphs(max_n=9), st.integers(1, 40), st.integers(0, 2**16))
+def test_every_planner_code_verifies_and_decodes(D, t, seed):
+    """Both modes of every planner give a plan whose support-only code
+    passes verify_code and whose packet code decodes every covered
+    receiver to its own packet; an uncovered one reads its uncoded symbol."""
+    pv = rand_packets(t, D.n, random.Random(seed))
+    for mode in ("exact", "greedy"):
+        for planner in PLANNERS:
+            plan = planner(D, mode)
+            assert verify_code(D, assemble_code(D, plan)).valid, (planner.__name__, mode)
+            code = assemble_code(D, plan, pv)
+            for T, lab in plan.pieces:
+                for v in lab.values():
+                    side = {m: pv.packet(m) for m in side_info(D, v)}
+                    assert decode_receiver(T, lab, code, v, side) == pv.packet(v), (planner.__name__, mode, v)
+            uncoded = [s for s in code.symbols if s.tag == TAG_UNCODED]
+            assert [(min(s.support), s.payload) for s in uncoded] == [(v, pv.packet(v)) for v in plan.uncovered]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
