@@ -12,14 +12,14 @@ Each immutable template compiles its codec work once, as coordinate
 positions read off its arc list: the emission rows and each position's
 decoding chain (``_chain``).  ``encode`` calls ``from_bytes`` once per
 packet of the piece and ``to_bytes`` once per symbol, and the code it
-(or ``assemble_code``) returns carries those packet and payload ints.
-``decode_receiver`` finds the receiver among the labeling's coordinates
-and calls ``to_bytes`` once; it calls ``from_bytes`` only on a side packet
-that is not the packet object the code's encoder read, and on a coded
-payload of a code built another way (``parse_code``, a hand-built
-``IndexCode``), once, on its first fetch.  Every entry point calls
-``validate_template``, which reads the verdict the immutable template
-keeps; a labeling is the caller's dict, so it is checked on every call.
+(or ``assemble_code``) returns carries the payload ints.
+``decode_receiver`` finds the receiver among the labeling's coordinates,
+calls ``from_bytes`` once per side packet and ``to_bytes`` once; it
+converts a coded payload only for a code built another way
+(``parse_code``, a hand-built ``IndexCode``), once, on its first fetch.
+Every entry point calls ``validate_template``, which reads the verdict
+the immutable template keeps; a labeling is the caller's dict, so it is
+checked on every call.
 """
 
 from __future__ import annotations
@@ -142,15 +142,27 @@ class IndexCode:
         return {s.support: s for s in self.symbols}
 
     @cached_property
-    def _ints(self) -> dict[frozenset[int] | int, tuple]:
-        """Per support, its payload's int and width (see _carrying); per id, (int, packet) of a packet encode read."""
+    def _ints(self) -> dict[frozenset[int], tuple[int, int]]:
+        """Payload int and byte width of each support, from its encoder (_carrying) or its first decoder."""
         return {}
 
 
-def _carrying(code: IndexCode, ints: dict[frozenset[int] | int, tuple]) -> IndexCode:
-    """code, holding the ints its encoder converted, so that no decoder converts them again."""
+def _carrying(code: IndexCode, ints: dict[frozenset[int], tuple[int, int]]) -> IndexCode:
+    """code, holding the payload ints its encoder converted, so that no decoder converts them again."""
     code.__dict__["_ints"] = ints
     return code
+
+
+def _joined(codes: list[IndexCode], uncovered: tuple[int, ...], packets: PacketVector | None) -> IndexCode:
+    """The pieces' codes, then an uncoded symbol per uncovered id, as one code carrying the pieces' payload ints."""
+    symbols, ints = [], {}
+    for c in codes:
+        symbols += c.symbols
+        ints.update(c._ints)
+    for v in uncovered:
+        symbols.append(CodedSymbol(frozenset({v}), None if packets is None else packets.packet(v), TAG_UNCODED))
+    ops = None if packets is None else sum([c.xor_bit_ops for c in codes])
+    return _carrying(IndexCode(tuple(symbols), xor_bit_ops=ops), ints)
 
 
 def _compiled(T: IccTemplate) -> tuple[list[tuple[tuple[int, ...], str]], int, dict, dict, dict]:
@@ -197,7 +209,7 @@ def encode(T: IccTemplate, labeling: Labeling, packets: PacketVector | None = No
         for row, _ in rows:  # the rows connect every coordinate, so one raises
             _xor_all([own[p] for p in row])
     xs = [int.from_bytes(p, "little") for p in own]
-    symbols, ints = [], dict(zip(ids, zip(xs, own)))
+    symbols, ints = [], {}
     for row, tag in rows:
         support, x = frozenset(map(ids.__getitem__, row)), reduce(xor, map(xs.__getitem__, row))
         ints[support] = (x, width)
@@ -257,8 +269,7 @@ def _fold(steps, ids: list[int], code: IndexCode, side_packets: dict[int, bytes]
                 p = side_packets[ids[c]]
             except KeyError:
                 raise MissingSidePacket(ids[c]) from None
-            x, q = ints.get(ids[c], (None, None))  # q: the packet object encode read for this id
-            x, w = x if q is p else int.from_bytes(p, "little"), len(p)
+            x, w = int.from_bytes(p, "little"), len(p)
         else:
             support = frozenset(map(get, row))
             try:

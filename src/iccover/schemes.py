@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .codec import TAG_UNCODED, CodedSymbol, IndexCode, PacketVector, _carrying, encode
+from .codec import IndexCode, PacketVector, _joined, encode
 from .digraph import (
     MAX_N,
     Cycle,
@@ -197,17 +197,7 @@ def assemble_code(D: Digraph, plan: CoverPlan, packets: PacketVector | None = No
     rest = make_plan(D, plan.pieces).uncovered
     if len(plan.uncovered) != len(rest) or set(plan.uncovered) != set(rest):
         raise EmbeddingError("plan does not partition the vertex set")
-    symbols: list[CodedSymbol] = []
-    ops, ints = 0, {}
-    for T, lab in plan.pieces:
-        piece_code = encode(T, lab, packets)
-        symbols.extend(piece_code.symbols)
-        ops += piece_code.xor_bit_ops or 0
-        ints.update(piece_code._ints)  # pieces are disjoint, so no support or id repeats
-    for v in plan.uncovered:
-        payload = packets.packet(v) if packets is not None else None
-        symbols.append(CodedSymbol(frozenset({v}), payload, TAG_UNCODED))
-    return _carrying(IndexCode(tuple(symbols), xor_bit_ops=ops if packets is not None else None), ints)
+    return _joined([encode(T, lab, packets) for T, lab in plan.pieces], plan.uncovered, packets)
 
 
 def compare(D: Digraph, exact_bound: int = DEFAULT_EXACT_BOUND) -> SchemeReport:

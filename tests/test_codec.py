@@ -756,27 +756,20 @@ def _flip(payload, j):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(coded_plans(), st.integers(1, 40), st.data())
 def test_handed_ints_decode_as_the_lazy_path_does(plan_of, t, data):
-    """assemble_code's code carries the int of every coded payload and of
-    every packet its pieces read; every receiver decodes from it as from
-    the reference and from the parsed listing, which converts lazily; a
-    side packet that is not the encoded packet object is converted, so an
-    equal copy decodes the same and a flipped one as the reference does;
-    and a new IndexCode with a flipped payload byte starts with no ints,
-    so it decodes the flipped bytes."""
+    """assemble_code's code carries the int of every coded payload and
+    nothing else; every receiver decodes from it as from the reference and
+    from the parsed listing, which converts lazily; side packets are
+    converted on every call, so an equal copy decodes the same and a
+    flipped one as the reference does; and a new IndexCode with a flipped
+    payload byte starts with no ints, so it decodes the flipped bytes."""
     D, plan = plan_of
     pv = rand_packets(t, D.n, random.Random(t))
     code = assemble_code(D, plan, pv)
     lazy = parse_code(serialize_code(code))
-    supports = {key for key in code._ints if isinstance(key, frozenset)}
-    assert supports == {s.support for s in code.symbols if s.tag != TAG_UNCODED}
-    for support in supports:
+    assert set(code._ints) == {s.support for s in code.symbols if s.tag != TAG_UNCODED}
+    for support, carried in code._ints.items():
         payload = code._by_support[support].payload
-        assert code._ints[support] == (int.from_bytes(payload, "little"), len(payload))
-    read = sorted(key for key in code._ints if key not in supports)
-    assert read == sorted(v for _, lab in plan.pieces for v in lab.values())
-    for m in read:
-        x, packet = code._ints[m]
-        assert packet is pv.packet(m) and x == int.from_bytes(packet, "little")
+        assert carried == (int.from_bytes(payload, "little"), len(payload))
     receivers = [(T, lab, v, {m: pv.packet(m) for m in side_info(D, v)}) for T, lab in plan.pieces for v in lab.values()]
     j = data.draw(st.integers(0, packet_bytes(t) - 1))
     for T, lab, v, side in receivers:
@@ -799,6 +792,30 @@ def test_handed_ints_decode_as_the_lazy_path_does(plan_of, t, data):
         assert got in (pv.packet(v), _flip(pv.packet(v), j))
         affected += got != pv.packet(v)
     assert affected  # every coded symbol is read by some receiver
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=st.integers(1, 4), max_path_len=st.integers(1, 3), seed=st.integers(0, 2**16), t=st.integers(1, 24))
+def test_side_packets_changed_after_encoding_are_read_as_they_are(k, max_path_len, seed, t):
+    """A PacketVector built directly may hold bytearrays; one changed in
+    place after encode decodes as the reference decoder reads it then."""
+    T = random_template(k, max_path_len, 0.3, seed)
+    D, lab = build_digraph(T)
+    pv = PacketVector(t, tuple(bytearray(p) for p in rand_packets(t, T.n, random.Random(seed)).packets))
+    code = encode(T, lab, pv)
+    for v in lab.values():
+        side = {m: pv.packet(m) for m in side_info(D, v)}
+        own = bytes(pv.packet(v))
+        assert decode_receiver(T, lab, code, v, side) == own
+        read = set()
+        for m, p in side.items():
+            p[0] ^= 1
+            got = decode_receiver(T, lab, code, v, side)
+            assert got == _reference_decode(T, lab, code, v, side) in (own, _flip(own, 0))
+            if got != own:
+                read.add(m)
+            p[0] ^= 1
+        assert read or not side  # a receiver reads some side packet whenever it holds one
 
 
 # ---------- serializer output round-trips byte for byte ----------
