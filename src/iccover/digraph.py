@@ -33,8 +33,6 @@ from typing import Iterable, Iterator
 
 from .errors import FormatError, InvalidDigraph, _is_count, echo
 
-DEFAULT_CYCLE_CAP = 10**6
-
 # Size bounds.  Every digraph has at most MAX_N vertices, so a mask tuple
 # holds at most MAX_N + 1 ints of MAX_N bits; exact mode fills lists of 2^n
 # entries, about 8 GB each at n = 30, so it refuses n > EXACT_LIMIT
@@ -123,40 +121,6 @@ def _sorted_arcs(out_masks: tuple[int, ...]) -> list[tuple[int, int]]:
 def side_info(D: Digraph, i: int) -> set[int]:
     """Message ids receiver i already holds (its out-neighborhood)."""
     return D.out_neighbors(i)
-
-
-def enumerate_cycles(D: Digraph, max_count: int = DEFAULT_CYCLE_CAP) -> tuple[tuple[Cycle, ...], bool]:
-    """List elementary cycles of D, each rotated to start at its smallest vertex.
-
-    Returns (cycles, truncated).  When the full set fits under max_count the
-    cycles come back sorted by (length, vertex tuple); a truncated listing
-    keeps discovery order and sets the flag.
-
-    Paths grow depth-first (highest successor first) from each cycle's
-    smallest vertex s through higher vertices that can reach s above it
-    (one backward search per start); each arc back to s closes a cycle, so
-    every cycle is found once, already rotated.
-    """
-    out_m, in_m = D.out_masks, D.in_masks
-    found: list[Cycle] = []
-    for s in range(1, D.n + 1):
-        sbit = 1 << (s - 1)
-        live = _reach_mask(in_m, full_mask(D.n) & -sbit, sbit) ^ sbit
-        stack = [(s, sbit, (s,))]  # (last vertex, path mask, path)
-        while stack:
-            last, pmask, path = stack.pop()
-            if out_m[last] & sbit:
-                if len(found) >= max_count:
-                    return tuple(found), True
-                found.append(Cycle(path))
-            grow = out_m[last] & live & ~pmask
-            while grow:
-                b = grow & -grow
-                grow ^= b
-                w = b.bit_length()
-                stack.append((w, pmask | b, path + (w,)))
-    found.sort(key=lambda c: (len(c.vertices), c.vertices))
-    return tuple(found), False
 
 
 def serialize_digraph(D: Digraph) -> str:

@@ -1,11 +1,14 @@
 """Independent certification: GF(2) decodability, exact acyclic bounds,
-and structural cycle checks.
+and Lemma 2's cycle structure by reachability.
 
 Everything here re-derives properties from first principles so the codec
 and the planners can be cross-checked rather than trusted: decodability
 by rank over GF(2) instead of the structural chains, the broadcast lower
 bound by brute force over induced subgraphs, or, for the digraph the
-exact finder planned last, read off its subset table.
+exact finder planned last, read off its subset table.  Lemma 2 (every
+cycle through a path vertex passes through its path's terminal) is
+checked exactly in polynomial time: a cycle through v avoids t iff v
+lies on a cycle of D - t, one backward search per vertex.
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ from dataclasses import dataclass
 from . import finder
 from .codec import IndexCode, code_length
 from .digraph import (
-    DEFAULT_CYCLE_CAP,
     Digraph,
-    enumerate_cycles,
+    _reach_mask,
     full_mask,
     is_acyclic_mask,
     iter_mask_vertices,
@@ -269,37 +271,26 @@ def certify_optimality(T: IccTemplate, bound: int = DEFAULT_MAIS_BOUND) -> Optim
     return OptimalityReport(D.n, T.k, code_length(T), mais(D, bound))
 
 
-@dataclass(frozen=True)
-class Lemma2Result:
-    """holds: no counterexample found; conclusive: enumeration was complete."""
-
-    holds: bool
-    conclusive: bool
-
-    def __bool__(self) -> bool:
-        return self.holds and self.conclusive
-
-
-def check_lemma2(T: IccTemplate, max_count: int = DEFAULT_CYCLE_CAP) -> Lemma2Result:
-    """Check that every cycle through a path vertex contains the right terminal.
+def check_lemma2(T: IccTemplate) -> bool:
+    """True iff every cycle through a path vertex contains the right terminal.
 
     Main-path vertices pin their own path's terminal; connector vertices
-    pin the terminal of the path their pair attaches to.  A truncated
-    cycle enumeration makes the verdict inconclusive.
+    pin the terminal of the path their pair attaches to.  For v pinned to
+    t != v, every cycle through v contains t iff v lies on no cycle of
+    D - t, that is iff no out-neighbour of v reaches v in D - t.  One
+    backward search per vertex decides that exactly, in polynomial time,
+    with no cycle listed.
     """
     D, lab = build_digraph(T)
-    cycles, truncated = enumerate_cycles(D, max_count)
-    coord = {v: c for c, v in lab.items()}
-    terminal_id = {i: lab[(i, T.n_i(i))] for i in range(1, T.k + 1)}
-    holds = True
-    for cyc in cycles:
-        members = set(cyc.vertices)
-        for v in cyc.vertices:
-            c = coord[v]
-            need = terminal_id[c[0]] if len(c) == 2 else terminal_id[c[1]]
-            if need not in members:
-                holds = False
-                break
-        if not holds:
-            break
-    return Lemma2Result(holds, not truncated)
+    pins = {v: lab[T.terminal(c[0] if len(c) == 2 else c[1])] for c, v in lab.items()}
+    return _pinned_cycles_hold(D, pins)
+
+
+def _pinned_cycles_hold(D: Digraph, pins: dict[int, int]) -> bool:
+    """True iff, for each v, every cycle of D through v contains pins[v],
+    by the reachability test in check_lemma2."""
+    full = full_mask(D.n)
+    for v, t in pins.items():
+        if v != t and _reach_mask(D.in_masks, full ^ (1 << (t - 1)), 1 << (v - 1)) & D.out_masks[v]:
+            return False
+    return True

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from iccover import IccTemplate, new_digraph, random_template
+from iccover import Cycle, IccTemplate, new_digraph, random_template
 from iccover.codec import new_packet_vector, packet_bytes
+from iccover.digraph import _reach_mask, full_mask
 from iccover.template import _arc_index
 
 DATA = Path(__file__).parent / "data"
@@ -75,6 +76,46 @@ def template_arcs(T):
     """Arcs of the built digraph in coordinate form (T must be sound)."""
     coords = T.coords()
     return [(coords[a], coords[b]) for a, b in _arc_index(T)]
+
+
+def enumerate_cycles(D):
+    """Every elementary cycle of D, rotated to start at its smallest vertex
+    and sorted by (length, vertex tuple): the reference Lemma 2 checks and
+    cycle-structure tests are judged against.
+
+    Paths grow depth-first from each cycle's smallest vertex s through
+    higher vertices that can reach s above it (one backward search per
+    start); each arc back to s closes a cycle, so every cycle is found once.
+    """
+    out_m, in_m = D.out_masks, D.in_masks
+    found = []
+    for s in range(1, D.n + 1):
+        sbit = 1 << (s - 1)
+        live = _reach_mask(in_m, full_mask(D.n) & -sbit, sbit) ^ sbit
+        stack = [(s, sbit, (s,))]  # (last vertex, path mask, path)
+        while stack:
+            last, pmask, path = stack.pop()
+            if out_m[last] & sbit:
+                found.append(Cycle(path))
+            grow = out_m[last] & live & ~pmask
+            while grow:
+                b = grow & -grow
+                grow ^= b
+                w = b.bit_length()
+                stack.append((w, pmask | b, path + (w,)))
+    return sorted(found, key=lambda c: (len(c.vertices), c.vertices))
+
+
+def lemma2_pins(T, lab):
+    """Vertex -> the terminal every cycle through it must contain: a main-path
+    vertex pins its own path's terminal, a connector vertex the terminal of
+    the path its pair attaches to."""
+    return {v: lab[T.terminal(c[0] if len(c) == 2 else c[1])] for c, v in lab.items()}
+
+
+def lemma2_by_enumeration(D, pins):
+    """True iff every listed cycle of D holds the pinned terminal of each of its vertices."""
+    return all(pins[v] in c.vertices for c in enumerate_cycles(D) for v in c.vertices)
 
 
 def rand_packets(t, n, rng=None):

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import enumerate_cycles
 from iccover.digraph import (
     MAX_N,
     Cycle,
     Digraph,
-    enumerate_cycles,
     full_mask,
     is_acyclic_mask,
     iter_mask_vertices,
@@ -71,23 +71,8 @@ def test_cycle_too_short():
 
 def test_enumerate_cycles_triangle_with_chord():
     D = new_digraph(3, [(1, 2), (2, 3), (3, 1), (2, 1)])
-    cycles, truncated = enumerate_cycles(D)
-    assert not truncated
-    found = {tuple(c.vertices) for c in cycles}
+    found = {tuple(c.vertices) for c in enumerate_cycles(D)}
     assert found == {(1, 2), (1, 2, 3)}
-
-
-def test_enumerate_cycles_truncates():
-    # K4 has 20 simple cycles of length >= 2
-    D = new_digraph(4, [(u, v) for u in range(1, 5) for v in range(1, 5) if u != v])
-    cycles, truncated = enumerate_cycles(D, max_count=5)
-    assert truncated and len(cycles) == 5
-    full, truncated = enumerate_cycles(D)
-    assert not truncated and len(full) == 20
-    # the boundary: all 20 fit under max_count=20, one fewer truncates
-    assert enumerate_cycles(D, max_count=20) == (full, False)
-    cut, truncated = enumerate_cycles(D, max_count=19)
-    assert truncated and len(cut) == 19 and set(cut) < set(full)
 
 
 def test_serialize_digraph_roundtrip_and_order():
@@ -299,9 +284,7 @@ def _reference_cycles(D):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(digraphs(max_n=6))
 def test_enumerate_cycles_matches_brute_force(D):
-    cycles, truncated = enumerate_cycles(D)
-    assert not truncated
-    assert [c.vertices for c in cycles] == _reference_cycles(D)
+    assert [c.vertices for c in enumerate_cycles(D)] == _reference_cycles(D)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -11,12 +11,10 @@ SCRIPT = """
 import sys
 sys.modules["networkx"] = None  # any import of it now raises ImportError
 from iccover import cli
-from iccover.digraph import enumerate_cycles, new_digraph
 from iccover.oracles import check_lemma2
 from iccover.template import random_template
-cycles, truncated = enumerate_cycles(new_digraph(3, [(1, 2), (2, 3), (3, 1), (2, 1)]))
-assert [c.vertices for c in cycles] == [(1, 2), (1, 2, 3)] and not truncated
-assert check_lemma2(random_template(3, 3, 0.3, seed=1))
+if check_lemma2(random_template(3, 3, 0.3, seed=1)) is not True:
+    sys.exit("Lemma 2 check failed")
 sys.exit(cli.main(["compare", "--digraph", sys.argv[1]]))
 """
 
