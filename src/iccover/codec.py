@@ -12,13 +12,15 @@ Each immutable template compiles its codec work once, as coordinate
 positions read off its arc list: the emission rows and each position's
 decoding chain (``_chain``).  ``encode`` calls ``from_bytes`` once per
 packet of the piece and ``to_bytes`` once per symbol, and the code it
-(or ``assemble_code``) returns carries the payload ints.
-``decode_receiver`` finds the receiver among the labeling's coordinates,
-calls ``from_bytes`` once per side packet and ``to_bytes`` once; it
-converts a coded payload only for a code built another way
-(``parse_code``, a hand-built ``IndexCode``), once, on its first fetch.
-Every entry point calls ``validate_template``, which reads the verdict
-the immutable template keeps; a labeling is the caller's dict, so it is
+(or ``assemble_code``) returns carries the payload ints and, by value,
+those of the ``bytes`` packets it read.  ``decode_receiver`` calls
+``to_bytes`` once, and ``from_bytes`` only for a side packet equal to
+none of those (a ``bytearray``, a wrong packet, or any packet for a code
+built another way, such as ``parse_code``'s, whose payloads it converts
+once, on their first fetch).  Every entry point calls
+``validate_template``, which reads the verdict the immutable template
+keeps.  A plan's ``FrozenLabeling`` is checked once per template and
+keeps its ids, row supports and receiver positions; a plain dict is
 checked on every call.
 """
 
@@ -40,7 +42,7 @@ from .errors import (
     _is_count,
     echo,
 )
-from .template import IccTemplate, Labeling, _arc_index, _checked_labeling, validate_template
+from .template import IccTemplate, Labeling, _arc_index, _labeled, validate_template
 
 TAG_PATH_I = "path-I"
 TAG_PATH_II = "path-II"
@@ -147,29 +149,32 @@ class IndexCode:
         return {}
 
 
-def _carrying(code: IndexCode, ints: dict[frozenset[int], tuple[int, int]]) -> IndexCode:
-    """code, holding the payload ints its encoder converted, so that no decoder converts them again."""
-    code.__dict__["_ints"] = ints
+def _carrying(code: IndexCode, ints: dict, packet_ints: dict) -> IndexCode:
+    """code, holding the payload ints its encoder converted and, as _packet_ints, the
+    int and width of each bytes packet it read, so that no decoder converts them again."""
+    code.__dict__.update(_ints=ints, _packet_ints=packet_ints)
     return code
 
 
 def _joined(codes: list[IndexCode], uncovered: tuple[int, ...], packets: PacketVector | None) -> IndexCode:
-    """The pieces' codes, then an uncoded symbol per uncovered id, as one code carrying the pieces' payload ints."""
-    symbols, ints = [], {}
+    """The pieces' codes, then an uncoded symbol per uncovered id, as one code carrying the pieces' ints."""
+    symbols, ints, packet_ints = [], {}, {}
     for c in codes:
         symbols += c.symbols
-        ints.update(c._ints)
+        if packets is not None:  # a code without payloads carries no ints
+            ints.update(c._ints)
+            packet_ints.update(c._packet_ints)
     for v in uncovered:
         symbols.append(CodedSymbol(frozenset({v}), None if packets is None else packets.packet(v), TAG_UNCODED))
     ops = None if packets is None else sum([c.xor_bit_ops for c in codes])
-    return _carrying(IndexCode(tuple(symbols), xor_bit_ops=ops), ints)
+    return _carrying(IndexCode(tuple(symbols), xor_bit_ops=ops), ints, packet_ints)
 
 
-def _compiled(T: IccTemplate) -> tuple[list[tuple[tuple[int, ...], str]], int, dict, dict, dict]:
+def _compiled(T: IccTemplate) -> tuple[list[tuple[tuple[int, ...], str]], int, dict, dict, dict, dict]:
     """T's rows as coordinate positions, their XOR count, each non-terminal's
-    successor, each main-path terminal's out-arc heads and the decoding
-    chains built so far, set on first use.  The pair symbols are T's arcs
-    that leave no terminal, in arc order; the terminals' parity comes last."""
+    successor, each main-path terminal's out-arc heads, the decoding chains
+    built so far and each row's index, set on first use.  The pair symbols are
+    T's arcs that leave no terminal, in arc order; the terminals' parity comes last."""
     if T._codec is None:
         ends = list(accumulate(T.type_i))
         main, fans = ends[-1], {e - 1: [] for e in ends}
@@ -181,7 +186,8 @@ def _compiled(T: IccTemplate) -> tuple[list[tuple[tuple[int, ...], str]], int, d
                 rows.append((arc, TAG_PATH_I if arc[0] < main else TAG_BRIDGE if arc[1] < main else TAG_PATH_II))
         succ = dict(row for row, _ in rows)
         rows.append((tuple(fans), TAG_SUM))  # the terminals, in path order
-        object.__setattr__(T, "_codec", (rows, sum(len(row) - 1 for row, _ in rows), succ, fans, {}))
+        at = {row: i for i, (row, _) in enumerate(rows)}
+        object.__setattr__(T, "_codec", (rows, sum(len(row) - 1 for row, _ in rows), succ, fans, {}, at))
     return T._codec
 
 
@@ -194,13 +200,15 @@ def _require_valid(T: IccTemplate) -> None:
 def encode(T: IccTemplate, labeling: Labeling, packets: PacketVector | None = None) -> IndexCode:
     """Produce the template's index code; payloads are filled when packets are given."""
     _require_valid(T)
-    ids = _checked_labeling(T, labeling)
-    rows, xor_terms = _compiled(T)[:2]
+    memo, (rows, xor_terms) = _labeled(T, labeling), _compiled(T)[:2]
+    if memo[2] is None:  # one support per row, kept on a FrozenLabeling
+        memo[2] = tuple([frozenset(map(memo[1].__getitem__, row)) for row, _ in rows])
+    ids, supports = memo[1], memo[2]
     if packets is None:  # the ids become the listing's supports
         for m in ids:
             if not _is_count(m) or m < 1:
                 raise InvalidCode(f"message id {echo(m)} is not a positive integer")
-        return IndexCode(tuple([CodedSymbol(frozenset(map(ids.__getitem__, row)), None, tag) for row, tag in rows]))
+        return IndexCode(tuple([CodedSymbol(support, None, tag) for support, (_, tag) in zip(supports, rows)]))
     vec = packets.packets
     in_vector = set(map(type, ids)) == {int} and 0 < min(ids) and max(ids) <= len(vec)  # one id check for the piece
     own = [vec[m - 1] for m in ids] if in_vector else list(map(packets.packet, ids))  # packet() raises at a bad id
@@ -210,11 +218,12 @@ def encode(T: IccTemplate, labeling: Labeling, packets: PacketVector | None = No
             _xor_all([own[p] for p in row])
     xs = [int.from_bytes(p, "little") for p in own]
     symbols, ints = [], {}
-    for row, tag in rows:
-        support, x = frozenset(map(ids.__getitem__, row)), reduce(xor, map(xs.__getitem__, row))
+    for support, (row, tag) in zip(supports, rows):
+        x = reduce(xor, map(xs.__getitem__, row))
         ints[support] = (x, width)
         symbols.append(CodedSymbol(support, x.to_bytes(width, "little"), tag))
-    return _carrying(IndexCode(tuple(symbols), xor_bit_ops=xor_terms * packets.t), ints)
+    packet_ints = {p: (x, width) for p, x in zip(own, xs) if type(p) is bytes}
+    return _carrying(IndexCode(tuple(symbols), xor_bit_ops=xor_terms * packets.t), ints, packet_ints)
 
 
 def code_length(T: IccTemplate) -> int:
@@ -242,7 +251,7 @@ def _chain(T: IccTemplate, p: int) -> tuple:
     paths first), then cancels the head's packet, which it holds by
     construction.
     """
-    rows, _, succ, fans, chains = _compiled(T)
+    rows, _, succ, fans, chains, _ = _compiled(T)
     if p not in chains:
         if p in succ:
             steps = [((p, succ[p]), None), (None, succ[p])]
@@ -259,19 +268,20 @@ def _chain(T: IccTemplate, p: int) -> tuple:
     return chains[p]
 
 
-def _fold(steps, ids: list[int], code: IndexCode, side_packets: dict[int, bytes]) -> bytes:
-    """XOR the operands of decoding steps, positions read through `ids`;
-    each operand's width is checked before the next step."""
-    ints, width, acc, get = code._ints, None, 0, ids.__getitem__
+def _fold(steps, ids: list[int], code: IndexCode, side_packets: dict[int, bytes], supports, at: dict) -> bytes:
+    """XOR the operands of decoding steps, positions read through `ids` and each row's support
+    from `supports` by its index in `at` (built when None); each width is checked before the next step."""
+    ints, known, width, acc, get = code._ints, code.__dict__.get("_packet_ints"), None, 0, ids.__getitem__
     for row, c in steps:
         if row is None:
             try:
                 p = side_packets[ids[c]]
             except KeyError:
                 raise MissingSidePacket(ids[c]) from None
-            x, w = int.from_bytes(p, "little"), len(p)
+            hit = known.get(p) if known and type(p) is bytes else None
+            x, w = hit or (int.from_bytes(p, "little"), len(p))
         else:
-            support = frozenset(map(get, row))
+            support = frozenset(map(get, row)) if supports is None else supports[at[row]]
             try:
                 x, w = ints[support]
             except KeyError:
@@ -302,14 +312,15 @@ def decode_receiver(
     MissingCodedSymbol or MissingSidePacket when a dependency is absent.
     """
     _require_valid(T)
-    ids = _checked_labeling(T, labeling)
+    memo = _labeled(T, labeling)
     if not _is_count(receiver):
         raise DecodeFailure(f"receiver {echo(receiver)} is not a message id")
-    try:
-        p = ids.index(receiver)
-    except ValueError:
-        raise DecodeFailure(f"receiver {receiver} is not covered by the labeling") from None
-    return _fold(_chain(T, p), ids, code, side_packets)
+    if memo[3] is None:  # each id's position, on the first decode
+        memo[3] = dict(zip(memo[1], range(len(memo[1]))))
+    p = memo[3].get(receiver)
+    if p is None:
+        raise DecodeFailure(f"receiver {receiver} is not covered by the labeling")
+    return _fold(_chain(T, p), memo[1], code, side_packets, memo[2], _compiled(T)[5])
 
 
 # ---------- text formats ----------

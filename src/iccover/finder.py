@@ -43,7 +43,7 @@ from .digraph import (
     strongly_connected_mask,
 )
 from .errors import EmbeddingError, SizeRefusal
-from .template import IccTemplate, Labeling, check_embedding, clique_to_template, cycle_to_template
+from .template import FrozenLabeling, IccTemplate, Labeling, _coord_tuple, check_embedding, clique_to_template, cycle_to_template
 
 DEFAULT_EXACT_BOUND = 12
 
@@ -71,14 +71,15 @@ def make_plan(D: Digraph, pieces: list[Piece]) -> CoverPlan:
 
     The one check of a plan's pieces, for assemble_code too: raises
     EmbeddingError when a piece does not embed in D, labels keys beyond
-    its template's coordinates, or shares a vertex with another.
+    its template's coordinates, or shares a vertex with another.  The
+    plan holds read-only copies of the caller's labelings.
     """
     pieces = list(pieces)  # read an iterator once
     covered: set[int] = set()
     for idx, (T, lab) in enumerate(pieces, start=1):
         if not check_embedding(D, T, lab):
             raise EmbeddingError(f"piece {idx} does not embed in the digraph")
-        if len(lab) != T.n:  # every coordinate is labeled, so a key is extra
+        if len(lab) != len(_coord_tuple(T)):  # every coordinate is labeled, so a key is extra
             raise EmbeddingError(f"piece {idx} labels keys beyond its template's coordinates")
         vs = set(lab.values())
         if vs & covered:
@@ -90,7 +91,9 @@ def make_plan(D: Digraph, pieces: list[Piece]) -> CoverPlan:
 def _unchecked_plan(D: Digraph, pieces: list[Piece]) -> CoverPlan:
     """make_plan without its checks, for planners, which build pieces from
     D's own arcs: the tests check their plans (the planner-piece property
-    and the plan goldens), and caller plans meet make_plan."""
+    and the plan goldens), and caller plans meet make_plan.  Its plans
+    hold read-only labelings (the planners build them so) in tuples."""
+    pieces = [(T, lab if type(lab) is FrozenLabeling else FrozenLabeling(lab)) for T, lab in pieces]
     covered = {v for _, lab in pieces for v in lab.values()}
     ordered = sorted(pieces, key=lambda piece: min(piece[1].values()))
     # built from a list, not a generator: tuple() of a generator takes a
@@ -98,7 +101,9 @@ def _unchecked_plan(D: Digraph, pieces: list[Piece]) -> CoverPlan:
     # the free list of another size, and CPython empties those lists (up
     # to 2,000 tuples per size) only in a full gc pass
     uncovered = tuple([v for v in range(1, D.n + 1) if v not in covered])
-    return CoverPlan(tuple(ordered), uncovered)
+    plan = CoverPlan(tuple(ordered), uncovered)
+    plan.__dict__["_checked"] = None  # it cannot change, so assemble_code checks it once per digraph
+    return plan
 
 
 def exact_mode(D: Digraph, mode: str, exact_bound: int, what: str) -> bool:
@@ -247,14 +252,9 @@ class _EmbeddingSearch:
             if not any(attach[(i, j)] == 1 for i in range(1, k + 1) if i != j):
                 return None
         T = IccTemplate(k, tuple([len(p) for p in paths]), type_ii, attach)
-        lab: Labeling = {}
-        for i, p in enumerate(paths, start=1):
-            for a, v in enumerate(p, start=1):
-                lab[(i, a)] = v
-        for (i, j), vs in conn.items():
-            for a, v in enumerate(vs, start=1):
-                lab[(i, j, a)] = v
-        return (T, lab)
+        lab = [((i, a), v) for i, p in enumerate(paths, start=1) for a, v in enumerate(p, start=1)]
+        lab += [((i, j, a), v) for (i, j), vs in conn.items() for a, v in enumerate(vs, start=1)]
+        return (T, FrozenLabeling(lab))
 
     def _forward(self, chain: list[int], left: int, targets: int):
         # extensions of chain inside left that end with an arc into targets

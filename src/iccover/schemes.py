@@ -190,13 +190,20 @@ def assemble_code(D: Digraph, plan: CoverPlan, packets: PacketVector | None = No
 
     Before emitting anything, checks the pieces through make_plan, then
     that the uncovered vertices are the rest of 1..n, each once.  Symbols
-    follow the plan's own order of pieces and of uncovered vertices.
+    follow the plan's own order of pieces and of uncovered vertices.  A
+    plan from make_plan or a planner cannot change, so it is checked once
+    per digraph: it keeps the last digraph it passed, by value.  The
+    packet count, and each piece's ids against the packets, are checked
+    on every call.
     """
     if packets is not None and len(packets.packets) != D.n:
         raise InvalidCode(f"expected {D.n} packets, got {len(packets.packets)}")
-    rest = make_plan(D, plan.pieces).uncovered
-    if len(plan.uncovered) != len(rest) or set(plan.uncovered) != set(rest):
-        raise EmbeddingError("plan does not partition the vertex set")
+    if plan.__dict__.get("_checked") != D:
+        rest = make_plan(D, plan.pieces).uncovered
+        if len(plan.uncovered) != len(rest) or set(plan.uncovered) != set(rest):
+            raise EmbeddingError("plan does not partition the vertex set")
+        if "_checked" in plan.__dict__:  # set by _unchecked_plan
+            plan.__dict__["_checked"] = D
     return _joined([encode(T, lab, packets) for T, lab in plan.pieces], plan.uncovered, packets)
 
 

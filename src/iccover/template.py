@@ -16,8 +16,9 @@ An ``IccTemplate`` is immutable (``type_ii`` and ``attach`` are read-only
 views of private copies), so what is derived from it cannot go stale: its
 soundness verdict, coordinate tuple and arc list (in coordinate-index
 form) are each computed once, on first use, and the codec keeps its
-compiled rows and decoding chains on it the same way.  A labeling is a
-dict the caller owns, so it is checked on every call.
+compiled rows and decoding chains on it the same way.  A plan's labeling
+is a read-only ``FrozenLabeling``, checked once per template; a plain
+dict may change between calls, so it is checked on every call.
 """
 
 from __future__ import annotations
@@ -35,6 +36,21 @@ from .errors import EmbeddingError, FormatError, InvalidCode, InvalidTemplate, _
 
 Coord = tuple  # (i, a) for Type-I, (i, j, a) for Type-II
 Labeling = dict
+
+
+class FrozenLabeling(dict):
+    """A read-only labeling, as plans hold it: equal to, printed and
+    serialized as the dict it copies; _labeled keeps its memo."""
+
+    __slots__ = ("_memo",)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a plan's labeling is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):  # pickle and deepcopy rebuild it without its memo
+        return type(self), (dict(self),)
 
 
 @dataclass(frozen=True)
@@ -210,8 +226,16 @@ def build_digraph(T: IccTemplate) -> tuple[Digraph, Labeling]:
     return new_digraph(T.n, [(a + 1, b + 1) for a, b in _arc_index(T)]), lab
 
 
-def _checked_labeling(T: IccTemplate, labeling: Labeling) -> list[int]:
-    """Message ids of T's coordinates in coords() order; complete and injective."""
+def _labeled(T: IccTemplate, labeling: Labeling) -> list:
+    """[T, ids, supports, positions] of a labeling: ids are the message ids
+    of T's coordinates in coords() order, checked complete and injective;
+    the codec fills in the row supports and receiver positions.  A
+    FrozenLabeling keeps it under T's identity, so it is checked once per
+    template; a plain dict is checked on every call."""
+    frozen = type(labeling) is FrozenLabeling
+    memo = getattr(labeling, "_memo", None) if frozen else None
+    if memo is not None and memo[0] is T:
+        return memo
     coords = _coord_tuple(T)
     try:
         ids = list(map(labeling.__getitem__, coords))
@@ -223,7 +247,10 @@ def _checked_labeling(T: IccTemplate, labeling: Labeling) -> list[int]:
             raise InvalidCode("labeling is not injective")
     except TypeError:
         raise InvalidCode("labeling has an unhashable message id") from None
-    return ids
+    memo = [T, ids, None, None]
+    if frozen:
+        labeling._memo = memo
+    return memo
 
 
 def check_embedding(D: Digraph, T: IccTemplate, labeling: Labeling) -> bool:
@@ -236,7 +263,7 @@ def check_embedding(D: Digraph, T: IccTemplate, labeling: Labeling) -> bool:
     if problems:
         raise InvalidTemplate(problems)
     try:
-        ids = _checked_labeling(T, labeling)
+        ids = _labeled(T, labeling)[1]
     except InvalidCode:
         return False
     for v in ids:
@@ -251,23 +278,21 @@ def cycle_to_template(cycle: Cycle, split: int) -> tuple[IccTemplate, Labeling]:
 
     The first `split` vertices form path 1 and the rest path 2; both
     attachments land on position 1, which reproduces the cycle's arcs.
-    Cycles of one shape share one template.
+    Cycles of one shape share one template; the labeling is read-only.
     """
     L = len(cycle.vertices)
     if L < 2:
         raise InvalidTemplate(f"cycle must have at least 2 vertices, got {L}")
     if not _is_count(split) or not 1 <= split < L:
         raise InvalidTemplate(f"split must lie in 1..{L - 1}, got {split!r}")
-    vs = cycle.vertices
-    lab: Labeling = {(1, a): vs[a - 1] for a in range(1, split + 1)}
-    lab.update({(2, a): vs[split + a - 1] for a in range(1, L - split + 1)})
     shape = _cycle_shape if L <= SHARED_SHAPE_MAX else _cycle_shape.__wrapped__
-    return shape(split, L - split), lab
+    T = shape(split, L - split)
+    return T, FrozenLabeling(zip(_coord_tuple(T), cycle.vertices))
 
 
 def clique_to_template(D: Digraph, vertices: Iterable[int]) -> tuple[IccTemplate, Labeling]:
     """View a bidirectionally complete vertex set as single-vertex main
-    paths.  Cliques of one size share one template."""
+    paths.  Cliques of one size share one template; the labeling is read-only."""
     vs = sorted(set(vertices))
     if not vs:
         raise EmbeddingError("clique must contain at least one vertex")
@@ -282,7 +307,8 @@ def clique_to_template(D: Digraph, vertices: Iterable[int]) -> tuple[IccTemplate
             v = (missing & -missing).bit_length()
             raise EmbeddingError(f"vertices {vs} are not a clique: missing arc ({u},{v})")
     shape = _clique_shape if len(vs) <= SHARED_SHAPE_MAX else _clique_shape.__wrapped__
-    return shape(len(vs)), {(i, 1): v for i, v in enumerate(vs, start=1)}
+    T = shape(len(vs))
+    return T, FrozenLabeling(zip(_coord_tuple(T), vs))
 
 
 # One template per shape, shared by every piece of that shape: a template

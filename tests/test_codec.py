@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 from dataclasses import replace
@@ -35,15 +37,18 @@ from iccover.codec import (
 from iccover.digraph import new_digraph, side_info
 from iccover.errors import (
     DecodeFailure,
+    EmbeddingError,
     FormatError,
     InvalidCode,
     InvalidTemplate,
     MissingCodedSymbol,
     MissingSidePacket,
 )
+from iccover import finder
 from iccover.finder import make_plan
 from iccover.schemes import assemble_code, clique_cover, cycle_cover, icc_cover
 from iccover.template import (
+    FrozenLabeling,
     IccTemplate,
     _clique_shape,
     _cycle_shape,
@@ -844,3 +849,138 @@ def test_serializer_output_round_trips_byte_for_byte(k, max_path_len, density, s
         side = {m: pv.packet(m) for m in side_info(D, v)}
         text = serialize_side(t, side)
         assert parse_side(text) == (t, side) and serialize_side(*parse_side(text)) == text
+
+
+# ---------- read-only plans: checked once, packets converted once ----------
+
+
+def _random_host(seed, n, p):
+    rng = random.Random(seed)
+    return new_digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v and rng.random() < p])
+
+
+@st.composite
+def read_only_plans(draw):
+    """A random template's own plan through make_plan, or a greedy ICC plan of a random host with n <= 40."""
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        T = random_template(draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.sampled_from([0.0, 0.3, 1.0])), seed)
+        D, lab = build_digraph(T)
+        return D, make_plan(D, [(T, lab)])
+    D = _random_host(seed, draw(st.integers(1, 40)), draw(st.floats(0.0, 0.5)))
+    return D, icc_cover(D, "greedy")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(read_only_plans(), st.integers(1, 40), st.data())
+def test_receivers_decode_as_the_reference_whatever_side_packets_they_hold(plan_of, t, data):
+    """Every receiver of a plan decodes as the reference decoder does from
+    the encoder's own bytes objects, from fresh copies, from bytearrays
+    changed after encode, and with one wrong side packet, which is either
+    a flipped copy or another message's packet; the first two give the
+    receiver's own packet."""
+    D, plan = plan_of
+    pv = rand_packets(t, D.n, random.Random(t))
+    code = assemble_code(D, plan, pv)
+    j = data.draw(st.integers(0, packet_bytes(t) - 1))
+    for T, lab in plan.pieces:
+        for v in lab.values():
+            own = {m: pv.packet(m) for m in side_info(D, v)}
+            copies = {m: bytes(bytearray(p)) for m, p in own.items()}
+            assert decode_receiver(T, lab, code, v, own) == decode_receiver(T, lab, code, v, copies) == pv.packet(v)
+            assert decode_receiver(T, lab, code, v, own) == _reference_decode(T, lab, code, v, own)
+            if not own:
+                continue
+            m = data.draw(st.sampled_from(sorted(own)))
+            changed = {i: bytearray(p) for i, p in own.items()}
+            changed[m][j] ^= 1
+            other = pv.packet(data.draw(st.integers(1, D.n)))
+            for wrong in (changed, {**own, m: _flip(own[m], j)}, {**own, m: other}):
+                got = _outcome(decode_receiver, T, lab, code, v, wrong)
+                assert got == _outcome(_reference_decode, T, lab, code, v, wrong)
+
+
+def test_plan_labelings_are_read_only(d1):
+    T = random_template(3, 2, 0.3, seed=4)
+    D, lab = build_digraph(T)
+    plans = [make_plan(D, [(T, lab)])] + [planner(d1) for planner in (cycle_cover, clique_cover, icc_cover)]
+    for plan in plans:
+        for _, frozen in plan.pieces:
+            assert type(frozen) is FrozenLabeling
+            plain = dict(frozen)
+            key = next(iter(plain))
+            mutations = [
+                lambda: frozen.__setitem__(key, 99),
+                lambda: frozen.__delitem__(key),
+                lambda: frozen.pop(key),
+                frozen.popitem,
+                frozen.clear,
+                lambda: frozen.setdefault(("extra",), 99),
+                lambda: frozen.update({key: 99}),
+                lambda: frozen.__ior__({key: 99}),
+            ]
+            for mutate in mutations:
+                with pytest.raises(TypeError, match="^a plan's labeling is read-only$"):
+                    mutate()
+            assert frozen == plain and plain == frozen and repr(frozen) == repr(plain)
+
+
+def test_make_plan_keeps_a_copy_of_the_callers_labeling():
+    """A later change to the caller's dict reaches neither the plan nor its
+    code, while the codec still checks the changed plain dict on every call."""
+    T = random_template(3, 2, 0.3, seed=5)
+    D, lab = build_digraph(T)
+    plan = make_plan(D, [(T, lab)])
+    pv = rand_packets(16, D.n, random.Random(5))
+    listing = serialize_code(assemble_code(D, plan, pv))
+    kept = dict(lab)
+    a, b = T.coords()[:2]
+    lab[a], lab[b] = lab[b], lab[a]
+    assert plan.pieces[0][1] == kept != lab
+    assert serialize_code(assemble_code(D, plan, pv)) == listing
+    assert check_embedding(D, T, plan.pieces[0][1]) and not check_embedding(D, T, lab)
+    del lab[a]
+    with pytest.raises(InvalidCode, match=r"^labeling missing coordinate \(1, 1\)$"):
+        encode(T, lab, pv)
+    with pytest.raises(EmbeddingError, match="^piece 1 does not embed in the digraph$"):
+        make_plan(D, [(T, lab)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_plan_checked_on_one_digraph_is_checked_again_on_another(seed, monkeypatch):
+    """assemble_code checks a plan once per digraph: again for an equal
+    digraph it checks nothing, and a digraph without one of the plan's arcs
+    still fails, then and after."""
+    D = _random_host(seed, 30, 0.15)
+    plan = icc_cover(D, "greedy")
+    assert plan.pieces
+    calls = []
+    monkeypatch.setattr(finder, "check_embedding", lambda *a: calls.append(a) or check_embedding(*a))
+    first = assemble_code(D, plan)
+    assert len(calls) == len(plan.pieces)
+    assert assemble_code(new_digraph(D.n, D.arcs), plan, rand_packets(8, D.n)).length == first.length
+    assert len(calls) == len(plan.pieces)
+    T, lab = plan.pieces[seed % len(plan.pieces)]
+    u, v = template_arcs(T)[0]
+    D2 = new_digraph(D.n, D.arcs - {(lab[u], lab[v])})
+    for _ in range(2):
+        with pytest.raises(EmbeddingError, match=r"^piece \d+ does not embed in the digraph$"):
+            assemble_code(D2, plan)
+    assert assemble_code(D, plan) == first
+
+
+@pytest.mark.parametrize("clone", [lambda plan: pickle.loads(pickle.dumps(plan)), copy.deepcopy])
+def test_plans_survive_pickle_and_deepcopy(clone):
+    D = _random_host(7, 30, 0.2)
+    plan = icc_cover(D, "greedy")
+    pv = rand_packets(12, D.n, random.Random(7))
+    code = assemble_code(D, plan, pv)  # the plan and its labelings now carry their memos
+    twin = clone(plan)
+    assert twin == plan and twin is not plan
+    assert all(type(lab) is FrozenLabeling for _, lab in twin.pieces)
+    assert assemble_code(D, twin, pv) == code
+    for T, lab in twin.pieces:
+        for v in lab.values():
+            assert decode_receiver(T, lab, code, v, {m: pv.packet(m) for m in side_info(D, v)}) == pv.packet(v)
+        with pytest.raises(TypeError):
+            lab[next(iter(lab))] = 0
