@@ -148,10 +148,12 @@ class IndexCode:
         """Payload int and byte width of each support, from its encoder (_carrying) or its first decoder."""
         return {}
 
+    def __getstate__(self):  # pickle and deepcopy leave the int caches behind
+        return {"symbols": self.symbols, "xor_bit_ops": self.xor_bit_ops}
+
 
 def _carrying(code: IndexCode, ints: dict, packet_ints: dict) -> IndexCode:
-    """code, holding the payload ints its encoder converted and, as _packet_ints, the
-    int and width of each bytes packet it read, so that no decoder converts them again."""
+    """code, holding the payload ints and, as _packet_ints, the bytes packets' ints its encoder converted."""
     code.__dict__.update(_ints=ints, _packet_ints=packet_ints)
     return code
 

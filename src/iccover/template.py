@@ -227,11 +227,8 @@ def build_digraph(T: IccTemplate) -> tuple[Digraph, Labeling]:
 
 
 def _labeled(T: IccTemplate, labeling: Labeling) -> list:
-    """[T, ids, supports, positions] of a labeling: ids are the message ids
-    of T's coordinates in coords() order, checked complete and injective;
-    the codec fills in the row supports and receiver positions.  A
-    FrozenLabeling keeps it under T's identity, so it is checked once per
-    template; a plain dict is checked on every call."""
+    """[T, ids, supports, positions], ids being the message ids of T's coordinates in coords() order, checked
+    complete and injective; a FrozenLabeling keeps it under T's identity, and the codec fills in the rest."""
     frozen = type(labeling) is FrozenLabeling
     memo = getattr(labeling, "_memo", None) if frozen else None
     if memo is not None and memo[0] is T:

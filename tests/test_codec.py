@@ -975,12 +975,14 @@ def test_plans_survive_pickle_and_deepcopy(clone):
     plan = icc_cover(D, "greedy")
     pv = rand_packets(12, D.n, random.Random(7))
     code = assemble_code(D, plan, pv)  # the plan and its labelings now carry their memos
-    twin = clone(plan)
+    twin, twin_code = clone(plan), clone(code)
     assert twin == plan and twin is not plan
     assert all(type(lab) is FrozenLabeling for _, lab in twin.pieces)
-    assert assemble_code(D, twin, pv) == code
+    assert assemble_code(D, twin, pv) == code == twin_code
+    assert twin_code.xor_bit_ops == code.xor_bit_ops and "_ints" not in vars(twin_code)  # the int caches stay behind
     for T, lab in twin.pieces:
         for v in lab.values():
-            assert decode_receiver(T, lab, code, v, {m: pv.packet(m) for m in side_info(D, v)}) == pv.packet(v)
+            side = {m: pv.packet(m) for m in side_info(D, v)}
+            assert decode_receiver(T, lab, code, v, side) == decode_receiver(T, lab, twin_code, v, side) == pv.packet(v)
         with pytest.raises(TypeError):
             lab[next(iter(lab))] = 0
