@@ -12,16 +12,16 @@ Each immutable template compiles its codec work once, as coordinate
 positions read off its arc list: the emission rows and each position's
 decoding chain (``_chain``).  ``encode`` calls ``from_bytes`` once per
 packet of the piece and ``to_bytes`` once per symbol, and the code it
-(or ``assemble_code``) returns carries the payload ints and, by value,
-those of the ``bytes`` packets it read.  ``decode_receiver`` calls
-``to_bytes`` once, and ``from_bytes`` only for a side packet equal to
-none of those (a ``bytearray``, a wrong packet, or any packet for a code
-built another way, such as ``parse_code``'s, whose payloads it converts
-once, on their first fetch).  Every entry point calls
-``validate_template``, which reads the verdict the immutable template
-keeps.  A plan's ``FrozenLabeling`` is checked once per template and
-keeps its ids, row supports and receiver positions; a plain dict is
-checked on every call.
+(or ``assemble_code``) returns carries one int cache: the int of each
+payload, by support, and of each ``bytes`` packet it read, by value.
+``decode_receiver`` calls ``to_bytes`` once, and ``from_bytes`` only for
+a side packet equal to none of those (a ``bytearray``, a wrong packet,
+or any packet for a code built another way, such as ``parse_code``'s,
+whose payloads it converts once, on their first fetch).  Every entry
+point calls ``validate_template``, which reads the verdict the immutable
+template keeps.  A plan's ``FrozenLabeling`` is checked once per
+template and keeps its ids, their largest value, one support per row and
+the receiver positions; a plain dict is checked on every call.
 """
 
 from __future__ import annotations
@@ -55,27 +55,11 @@ def packet_bytes(t: int) -> int:
     return (t + 7) // 8
 
 
-def _xor_all(operands) -> bytes:
-    """XOR equal-width packets, consuming `operands` lazily in order.
-
-    Each operand's width is checked before the next one is drawn, so a
-    generator that fetches operands raises in the same order as a chain
-    of pairwise XORs would.  Equal widths keep the int below 256**width,
-    so ``to_bytes`` cannot overflow.
-    """
-    it = iter(operands)
-    first = next(it)
-    width = len(first)
-    acc = int.from_bytes(first, "little")
-    for p in it:
-        if len(p) != width:
-            raise InvalidCode(f"packet length mismatch: {width} vs {len(p)} bytes")
-        acc ^= int.from_bytes(p, "little")
-    return acc.to_bytes(width, "little")
-
-
 def xor_bytes(a: bytes, b: bytes) -> bytes:
-    return _xor_all((a, b))
+    width, x = len(a), int.from_bytes(a, "little")
+    if len(b) != width:
+        raise InvalidCode(f"packet length mismatch: {width} vs {len(b)} bytes")
+    return (x ^ int.from_bytes(b, "little")).to_bytes(width, "little")
 
 
 @dataclass(frozen=True)
@@ -144,39 +128,37 @@ class IndexCode:
         return {s.support: s for s in self.symbols}
 
     @cached_property
-    def _ints(self) -> dict[frozenset[int], tuple[int, int]]:
-        """Payload int and byte width of each support, from its encoder (_carrying) or its first decoder."""
+    def _ints(self) -> dict[frozenset[int] | bytes, tuple[int, int]]:
+        """Int and byte width of each payload, by support, and of each bytes packet the encoder read, by value."""
         return {}
 
-    def __getstate__(self):  # pickle and deepcopy leave the int caches behind
+    def __getstate__(self):  # pickle and deepcopy leave the int cache behind
         return {"symbols": self.symbols, "xor_bit_ops": self.xor_bit_ops}
 
 
-def _carrying(code: IndexCode, ints: dict, packet_ints: dict) -> IndexCode:
-    """code, holding the payload ints and, as _packet_ints, the bytes packets' ints its encoder converted."""
-    code.__dict__.update(_ints=ints, _packet_ints=packet_ints)
+def _carrying(code: IndexCode, ints: dict) -> IndexCode:
+    """code, holding the ints its encoder converted."""
+    code.__dict__["_ints"] = ints
     return code
 
 
 def _joined(codes: list[IndexCode], uncovered: tuple[int, ...], packets: PacketVector | None) -> IndexCode:
     """The pieces' codes, then an uncoded symbol per uncovered id, as one code carrying the pieces' ints."""
-    symbols, ints, packet_ints = [], {}, {}
+    symbols, ints = [], {}
     for c in codes:
         symbols += c.symbols
         if packets is not None:  # a code without payloads carries no ints
             ints.update(c._ints)
-            packet_ints.update(c._packet_ints)
     for v in uncovered:
         symbols.append(CodedSymbol(frozenset({v}), None if packets is None else packets.packet(v), TAG_UNCODED))
     ops = None if packets is None else sum([c.xor_bit_ops for c in codes])
-    return _carrying(IndexCode(tuple(symbols), xor_bit_ops=ops), ints, packet_ints)
+    return _carrying(IndexCode(tuple(symbols), xor_bit_ops=ops), ints)
 
 
-def _compiled(T: IccTemplate) -> tuple[list[tuple[tuple[int, ...], str]], int, dict, dict, dict, dict]:
-    """T's rows as coordinate positions, their XOR count, each non-terminal's
-    successor, each main-path terminal's out-arc heads, the decoding chains
-    built so far and each row's index, set on first use.  The pair symbols are
-    T's arcs that leave no terminal, in arc order; the terminals' parity comes last."""
+def _compiled(T: IccTemplate) -> tuple[list[tuple[tuple[int, ...], str]], int, dict, dict, dict]:
+    """T's rows as coordinate positions, their XOR count, each non-terminal's successor, each main-path
+    terminal's out-arc heads and the decoding chains built so far, set on first use.  The pair symbols
+    are T's arcs that leave no terminal, in arc order; the terminals' parity comes last."""
     if T._codec is None:
         ends = list(accumulate(T.type_i))
         main, fans = ends[-1], {e - 1: [] for e in ends}
@@ -188,9 +170,15 @@ def _compiled(T: IccTemplate) -> tuple[list[tuple[tuple[int, ...], str]], int, d
                 rows.append((arc, TAG_PATH_I if arc[0] < main else TAG_BRIDGE if arc[1] < main else TAG_PATH_II))
         succ = dict(row for row, _ in rows)
         rows.append((tuple(fans), TAG_SUM))  # the terminals, in path order
-        at = {row: i for i, (row, _) in enumerate(rows)}
-        object.__setattr__(T, "_codec", (rows, sum(len(row) - 1 for row, _ in rows), succ, fans, {}, at))
+        object.__setattr__(T, "_codec", (rows, sum(len(row) - 1 for row, _ in rows), succ, fans, {}))
     return T._codec
+
+
+def _supports(T: IccTemplate, memo: list) -> dict:
+    """Each row's support, in row order, kept on the labeling memo by encode or the first decode."""
+    if memo[2] is None:
+        memo[2] = {row: frozenset(map(memo[1].__getitem__, row)) for row, _ in _compiled(T)[0]}
+    return memo[2]
 
 
 def _require_valid(T: IccTemplate) -> None:
@@ -203,29 +191,27 @@ def encode(T: IccTemplate, labeling: Labeling, packets: PacketVector | None = No
     """Produce the template's index code; payloads are filled when packets are given."""
     _require_valid(T)
     memo, (rows, xor_terms) = _labeled(T, labeling), _compiled(T)[:2]
-    if memo[2] is None:  # one support per row, kept on a FrozenLabeling
-        memo[2] = tuple([frozenset(map(memo[1].__getitem__, row)) for row, _ in rows])
-    ids, supports = memo[1], memo[2]
+    ids, top, supports = memo[1], memo[4], _supports(T, memo).values()
     if packets is None:  # the ids become the listing's supports
-        for m in ids:
+        for m in () if top else ids:  # a nonzero top vouches for every id
             if not _is_count(m) or m < 1:
                 raise InvalidCode(f"message id {echo(m)} is not a positive integer")
         return IndexCode(tuple([CodedSymbol(support, None, tag) for support, (_, tag) in zip(supports, rows)]))
     vec = packets.packets
-    in_vector = set(map(type, ids)) == {int} and 0 < min(ids) and max(ids) <= len(vec)  # one id check for the piece
-    own = [vec[m - 1] for m in ids] if in_vector else list(map(packets.packet, ids))  # packet() raises at a bad id
+    own = [vec[m - 1] for m in ids] if 0 < top <= len(vec) else list(map(packets.packet, ids))  # packet() raises at a bad id
     width = len(own[0])
     if len(set(map(len, own))) > 1:
         for row, _ in rows:  # the rows connect every coordinate, so one raises
-            _xor_all([own[p] for p in row])
+            for p in row:
+                if len(own[p]) != len(own[row[0]]):
+                    raise InvalidCode(f"packet length mismatch: {len(own[row[0]])} vs {len(own[p])} bytes")
     xs = [int.from_bytes(p, "little") for p in own]
-    symbols, ints = [], {}
+    symbols, ints = [], {p: (x, width) for p, x in zip(own, xs) if type(p) is bytes}
     for support, (row, tag) in zip(supports, rows):
         x = reduce(xor, map(xs.__getitem__, row))
         ints[support] = (x, width)
         symbols.append(CodedSymbol(support, x.to_bytes(width, "little"), tag))
-    packet_ints = {p: (x, width) for p, x in zip(own, xs) if type(p) is bytes}
-    return _carrying(IndexCode(tuple(symbols), xor_bit_ops=xor_terms * packets.t), ints, packet_ints)
+    return _carrying(IndexCode(tuple(symbols), xor_bit_ops=xor_terms * packets.t), ints)
 
 
 def code_length(T: IccTemplate) -> int:
@@ -253,7 +239,7 @@ def _chain(T: IccTemplate, p: int) -> tuple:
     paths first), then cancels the head's packet, which it holds by
     construction.
     """
-    rows, _, succ, fans, chains, _ = _compiled(T)
+    rows, _, succ, fans, chains = _compiled(T)
     if p not in chains:
         if p in succ:
             steps = [((p, succ[p]), None), (None, succ[p])]
@@ -270,20 +256,18 @@ def _chain(T: IccTemplate, p: int) -> tuple:
     return chains[p]
 
 
-def _fold(steps, ids: list[int], code: IndexCode, side_packets: dict[int, bytes], supports, at: dict) -> bytes:
-    """XOR the operands of decoding steps, positions read through `ids` and each row's support
-    from `supports` by its index in `at` (built when None); each width is checked before the next step."""
-    ints, known, width, acc, get = code._ints, code.__dict__.get("_packet_ints"), None, 0, ids.__getitem__
+def _fold(steps, memo: list, code: IndexCode, side_packets: dict[int, bytes]) -> bytes:
+    """XOR the operands of decoding steps, read through the memo's ids and supports, each width checked in turn."""
+    ids, supports, ints, width, acc = memo[1], memo[2], code._ints, None, 0
     for row, c in steps:
         if row is None:
             try:
                 p = side_packets[ids[c]]
             except KeyError:
                 raise MissingSidePacket(ids[c]) from None
-            hit = known.get(p) if known and type(p) is bytes else None
-            x, w = hit or (int.from_bytes(p, "little"), len(p))
+            x, w = type(p) is bytes and ints.get(p) or (int.from_bytes(p, "little"), len(p))
         else:
-            support = frozenset(map(get, row)) if supports is None else supports[at[row]]
+            support = supports[row]
             try:
                 x, w = ints[support]
             except KeyError:
@@ -322,7 +306,8 @@ def decode_receiver(
     p = memo[3].get(receiver)
     if p is None:
         raise DecodeFailure(f"receiver {receiver} is not covered by the labeling")
-    return _fold(_chain(T, p), memo[1], code, side_packets, memo[2], _compiled(T)[5])
+    _supports(T, memo)  # unless encode filled them, the first decode does
+    return _fold(_chain(T, p), memo, code, side_packets)
 
 
 # ---------- text formats ----------

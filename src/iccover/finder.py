@@ -148,8 +148,12 @@ def pack_pieces(n: int, new_piece) -> list[int]:
             by_low.setdefault(low, []).append((mask, c))
             b, t = c, mask
         best[mask], take[mask] = b, t
-    chosen: list[int] = []
-    mask = full
+    return _taken(take, full)
+
+
+def _taken(take: list[int], mask: int) -> list[int]:
+    """The pieces a DP's take table holds for mask, in walk order; a 0 entry skips mask's lowest vertex."""
+    chosen = []
     while mask:
         p = take[mask]
         if p:

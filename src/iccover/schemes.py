@@ -27,7 +27,8 @@ from .digraph import (
     shortest_cycle_mask,  # unused; iccbench/tracer.py wraps this binding
 )
 from .errors import EmbeddingError, InvalidCode, InvalidDigraph, SizeRefusal, _is_count
-from .finder import DEFAULT_EXACT_BOUND, CoverPlan, _unchecked_plan, exact_mode, find_icc_subgraphs, make_plan, pack_pieces
+from .finder import DEFAULT_EXACT_BOUND, CoverPlan, _taken, _unchecked_plan, exact_mode, find_icc_subgraphs, make_plan
+from .finder import pack_pieces
 from .oracles import mais
 from .template import check_embedding  # unused; iccbench/tracer.py wraps this binding
 from .template import clique_to_template, cycle_to_template
@@ -46,15 +47,7 @@ class SchemeReport:
 
 
 def serialize_report(report: SchemeReport) -> str:
-    obj = {
-        "n": report.n,
-        "l_cyc": report.l_cyc,
-        "l_cc": report.l_cc,
-        "l_icc": report.l_icc,
-        "mais": report.mais,
-        "optimal": report.optimal,
-    }
-    return json.dumps(obj, separators=(",", ":"))
+    return json.dumps(vars(report), separators=(",", ":"))  # the fields, in declaration order
 
 
 def plan_length(D: Digraph, plan: CoverPlan) -> int:
@@ -126,6 +119,8 @@ def _exact_clique_partition(D: Digraph) -> list[list[int]]:
     neighbour of low, so no clique through low contains it: scanning the
     submasks of mask & mut[low] meets the same cliques, in the same
     order, as scanning those of the whole mask, and picks the same p.
+    Those vertices stay in mask ^ p, and parts never falls as a mask
+    grows, so no p scores below 1 + parts[them]; the scan stops at one that does.
     is_clique[mask] is set before that scan, which reads it only at mask
     and below.  The DP stays outside pack_pieces for its ties: it takes
     the largest clique first and the lone vertex last, where pack_pieces
@@ -143,7 +138,7 @@ def _exact_clique_partition(D: Digraph) -> list[list[int]]:
         cand = mask & mut[low.bit_length()]
         if cand == mask ^ low and is_clique[cand]:
             is_clique[mask] = 1
-        b, t = None, 0
+        b, t, floor = None, 0, 1 + parts[mask & ~(cand | low)]
         sub = cand
         while True:
             p = sub | low
@@ -151,17 +146,13 @@ def _exact_clique_partition(D: Digraph) -> list[list[int]]:
                 c = 1 + parts[mask ^ p]
                 if b is None or c < b:
                     b, t = c, p
+                    if c == floor:
+                        break
             if sub == 0:
                 break
             sub = (sub - 1) & cand
         parts[mask], take[mask] = b, t
-    groups: list[list[int]] = []
-    mask = full
-    while mask:
-        p = take[mask]
-        groups.append(list(iter_mask_vertices(p)))
-        mask ^= p
-    return groups
+    return [list(iter_mask_vertices(p)) for p in _taken(take, full)]
 
 
 def clique_cover(D: Digraph, mode: str = "exact", exact_bound: int = DEFAULT_EXACT_BOUND) -> CoverPlan:

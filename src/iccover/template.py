@@ -17,8 +17,8 @@ views of private copies), so what is derived from it cannot go stale: its
 soundness verdict, coordinate tuple and arc list (in coordinate-index
 form) are each computed once, on first use, and the codec keeps its
 compiled rows and decoding chains on it the same way.  A plan's labeling
-is a read-only ``FrozenLabeling``, checked once per template; a plain
-dict may change between calls, so it is checked on every call.
+is a read-only ``FrozenLabeling``, checked (its id range too) once per
+template; a plain dict may change, so it is checked on every call.
 """
 
 from __future__ import annotations
@@ -227,8 +227,8 @@ def build_digraph(T: IccTemplate) -> tuple[Digraph, Labeling]:
 
 
 def _labeled(T: IccTemplate, labeling: Labeling) -> list:
-    """[T, ids, supports, positions], ids being the message ids of T's coordinates in coords() order, checked
-    complete and injective; a FrozenLabeling keeps it under T's identity, and the codec fills in the rest."""
+    """[T, ids, supports, positions, top]: T's coordinates' message ids, checked complete and injective, and top,
+    their largest if all are exact positive ints, else 0; a FrozenLabeling keeps it under T's identity."""
     frozen = type(labeling) is FrozenLabeling
     memo = getattr(labeling, "_memo", None) if frozen else None
     if memo is not None and memo[0] is T:
@@ -244,7 +244,7 @@ def _labeled(T: IccTemplate, labeling: Labeling) -> list:
             raise InvalidCode("labeling is not injective")
     except TypeError:
         raise InvalidCode("labeling has an unhashable message id") from None
-    memo = [T, ids, None, None]
+    memo = [T, ids, None, None, max(ids) if set(map(type, ids)) == {int} and min(ids) > 0 else 0]
     if frozen:
         labeling._memo = memo
     return memo
@@ -260,12 +260,11 @@ def check_embedding(D: Digraph, T: IccTemplate, labeling: Labeling) -> bool:
     if problems:
         raise InvalidTemplate(problems)
     try:
-        ids = _labeled(T, labeling)[1]
+        _, ids, _, _, top = _labeled(T, labeling)
     except InvalidCode:
         return False
-    for v in ids:
-        if not _is_count(v) or not 1 <= v <= D.n:
-            return False
+    if not 0 < top <= D.n and not all(_is_count(v) and 1 <= v <= D.n for v in ids):
+        return False
     out = D.out_masks
     return all(out[ids[a]] >> (ids[b] - 1) & 1 for a, b in _arc_index(T))
 

@@ -152,8 +152,11 @@ def test_encode_rejects_odd_width_packet(d1_template, odd):
     T, lab = d1_template
     raw = [bytes([m, m]) for m in range(1, T.n + 1)]
     raw[lab[(2, 1)] - 1] = odd
+    vec = PacketVector(16, tuple(raw))
     with pytest.raises(InvalidCode, match="packet length mismatch"):
-        encode(T, lab, PacketVector(16, tuple(raw)))
+        encode(T, lab, vec)
+    # the first mismatching pair in row order, with the reference's message
+    assert _outcome(encode, T, lab, vec) == _outcome(_reference_encode, T, lab, vec)
 
 
 def test_op_count_formula(corpus):
@@ -439,7 +442,7 @@ def _reference_encode(T, labeling, packets=None):
         row_ids = [labeling[c] for c in row]
         payload = None
         if packets is not None:
-            payload = codec._xor_all([packets.packets[m - 1] for m in row_ids])
+            payload = reduce(xor_bytes, [packets.packets[m - 1] for m in row_ids])
             ops += (len(row) - 1) * packets.t
         symbols.append(CodedSymbol(frozenset(row_ids), payload, tag))
     return IndexCode(tuple(symbols), xor_bit_ops=ops if packets is not None else None)
@@ -472,7 +475,7 @@ def _reference_decode(T, labeling, code, receiver, side_packets):
     if len(coord) == 2:
         i, a = coord
         if a < T.n_i(i):
-            return codec._xor_all((fetch((i, a), (i, a + 1)), side(labeling[(i, a + 1)])))
+            return reduce(xor_bytes, (fetch((i, a), (i, a + 1)), side(labeling[(i, a + 1)])))
 
         def parity_operands():
             yield fetch(*(T.terminal(h) for h in range(1, T.k + 1)))
@@ -491,12 +494,12 @@ def _reference_decode(T, labeling, code, receiver, side_packets):
                     yield fetch((i, h, nih), (h, q))
                     yield side(labeling[(i, h, 1)])
 
-        return codec._xor_all(parity_operands())
+        return reduce(xor_bytes, parity_operands())
     i, j, a = coord
     nij = T.n_ij(i, j)
     if a < nij:
-        return codec._xor_all((fetch((i, j, a), (i, j, a + 1)), side(labeling[(i, j, a + 1)])))
-    return codec._xor_all((fetch((i, j, nij), (j, T.q(i, j))), side(labeling[(j, T.q(i, j))])))
+        return reduce(xor_bytes, (fetch((i, j, a), (i, j, a + 1)), side(labeling[(i, j, a + 1)])))
+    return reduce(xor_bytes, (fetch((i, j, nij), (j, T.q(i, j))), side(labeling[(j, T.q(i, j))])))
 
 
 def _outcome(fn, *args):
@@ -527,8 +530,9 @@ FOREIGN_KEYS = [(9, 1), (1, 9), (1, 2, 9), (2, 1, 1), (1, 1, 1), None, "x"]
 def test_codec_matches_reference(k, max_path_len, density, seed, data):
     """Same bytes, or the same exception class and message, for templates
     (one in ten unsound), labelings with foreign keys, a missing key or a
-    repeated id, codes with a duplicated, dropped or payload-free symbol,
-    and every receiver id, covered or not, with one side packet withheld."""
+    repeated id, packet vectors with mixed widths, codes with a
+    duplicated, dropped or payload-free symbol, and every receiver id,
+    covered or not, with one side packet withheld."""
     rng = random.Random(seed)
     T = random_template(k, max_path_len, density, seed)
     if k >= 2 and data.draw(st.integers(0, 9)) == 0:
@@ -548,7 +552,10 @@ def test_codec_matches_reference(k, max_path_len, density, seed, data):
         del labeling[data.draw(st.sampled_from(sorted(labeling, key=repr)))]
     elif coords and defect == "repeated":
         labeling[data.draw(st.sampled_from(coords))] = labeling[data.draw(st.sampled_from(coords))]
-    for packets in (None, pv):
+    odd = list(pv.packets)  # a hand-built vector skips new_packet_vector's width check
+    for m in data.draw(st.lists(st.integers(0, top - 1), min_size=1, max_size=3)):
+        odd[m] += b"\x00"
+    for packets in (None, pv, PacketVector(pv.t, tuple(odd))):
         assert _encoded(_outcome(encode, T, labeling, packets)) == _encoded(
             _outcome(_reference_encode, T, labeling, packets)
         )
@@ -761,20 +768,24 @@ def _flip(payload, j):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(coded_plans(), st.integers(1, 40), st.data())
 def test_handed_ints_decode_as_the_lazy_path_does(plan_of, t, data):
-    """assemble_code's code carries the int of every coded payload and
-    nothing else; every receiver decodes from it as from the reference and
-    from the parsed listing, which converts lazily; side packets are
-    converted on every call, so an equal copy decodes the same and a
-    flipped one as the reference does; and a new IndexCode with a flipped
+    """assemble_code's code carries the int of every coded payload and of
+    every packet its pieces read, and nothing else; every receiver
+    decodes from it as from the reference and from the parsed listing,
+    which converts lazily; an equal copy of the side packets decodes the
+    same, and a flipped one as the reference does; and a new IndexCode with a flipped
     payload byte starts with no ints, so it decodes the flipped bytes."""
     D, plan = plan_of
     pv = rand_packets(t, D.n, random.Random(t))
     code = assemble_code(D, plan, pv)
     lazy = parse_code(serialize_code(code))
-    assert set(code._ints) == {s.support for s in code.symbols if s.tag != TAG_UNCODED}
-    for support, carried in code._ints.items():
-        payload = code._by_support[support].payload
-        assert carried == (int.from_bytes(payload, "little"), len(payload))
+    supports = {s.support for s in code.symbols if s.tag != TAG_UNCODED}
+    read = {pv.packet(m) for _, lab in plan.pieces for m in lab.values()}
+    assert {key for key in code._ints if type(key) is frozenset} == supports
+    assert {key for key in code._ints if type(key) is bytes} == read
+    assert len(code._ints) == len(supports) + len(read)  # no other key
+    for key, carried in code._ints.items():
+        x = code._by_support[key].payload if type(key) is frozenset else key
+        assert carried == (int.from_bytes(x, "little"), len(x))
     receivers = [(T, lab, v, {m: pv.packet(m) for m in side_info(D, v)}) for T, lab in plan.pieces for v in lab.values()]
     j = data.draw(st.integers(0, packet_bytes(t) - 1))
     for T, lab, v, side in receivers:

@@ -443,6 +443,17 @@ def test_exact_dps_match_reference_on_fixed_cases():
     assert_dps_match_reference(D)
 
 
+def test_exact_dps_match_reference_on_near_complete_digraphs():
+    # the clique scan stops early at a clique that meets its floor, which
+    # complete and near-complete digraphs reach most often
+    rng = random.Random(27)
+    for n in range(1, 13):
+        arcs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+        assert_dps_match_reference(new_digraph(n, arcs))
+        for dropped in (1, 3, n):
+            assert_dps_match_reference(new_digraph(n, rng.sample(arcs, len(arcs) - min(dropped, len(arcs)))))
+
+
 # ---------- every planner piece embeds ----------
 # Planners do not check their own plans at run time (make_plan and
 # assemble_code check only the plans a caller hands in), so these
