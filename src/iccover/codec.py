@@ -21,7 +21,7 @@ whose payloads it converts once, on their first fetch).  Every entry
 point calls ``validate_template``, which reads the verdict the immutable
 template keeps.  A plan's ``FrozenLabeling`` is checked once per
 template and keeps its ids, their largest value, one support per row and
-the receiver positions; a plain dict is checked on every call.
+each receiver's decoding operands; a plain dict is checked on every call.
 """
 
 from __future__ import annotations
@@ -174,13 +174,6 @@ def _compiled(T: IccTemplate) -> tuple[list[tuple[tuple[int, ...], str]], int, d
     return T._codec
 
 
-def _supports(T: IccTemplate, memo: list) -> dict:
-    """Each row's support, in row order, kept on the labeling memo by encode or the first decode."""
-    if memo[2] is None:
-        memo[2] = {row: frozenset(map(memo[1].__getitem__, row)) for row, _ in _compiled(T)[0]}
-    return memo[2]
-
-
 def _require_valid(T: IccTemplate) -> None:
     problems = validate_template(T)
     if problems:
@@ -191,7 +184,9 @@ def encode(T: IccTemplate, labeling: Labeling, packets: PacketVector | None = No
     """Produce the template's index code; payloads are filled when packets are given."""
     _require_valid(T)
     memo, (rows, xor_terms) = _labeled(T, labeling), _compiled(T)[:2]
-    ids, top, supports = memo[1], memo[4], _supports(T, memo).values()
+    if memo[2] is None:  # each row's support, in row order, kept for the decoders
+        memo[2] = {row: frozenset(map(memo[1].__getitem__, row)) for row, _ in rows}
+    ids, top, supports = memo[1], memo[4], memo[2].values()
     if packets is None:  # the ids become the listing's supports
         for m in () if top else ids:  # a nonzero top vouches for every id
             if not _is_count(m) or m < 1:
@@ -256,18 +251,17 @@ def _chain(T: IccTemplate, p: int) -> tuple:
     return chains[p]
 
 
-def _fold(steps, memo: list, code: IndexCode, side_packets: dict[int, bytes]) -> bytes:
-    """XOR the operands of decoding steps, read through the memo's ids and supports, each width checked in turn."""
-    ids, supports, ints, width, acc = memo[1], memo[2], code._ints, None, 0
-    for row, c in steps:
-        if row is None:
+def _fold(ops: tuple, code: IndexCode, side_packets: dict[int, bytes]) -> bytes:
+    """XOR a receiver's operands, each width checked in turn: (support, None) reads a coded symbol, (None, id) a side packet."""
+    ints, width, acc = code._ints, None, 0
+    for support, m in ops:
+        if support is None:
             try:
-                p = side_packets[ids[c]]
+                p = side_packets[m]
             except KeyError:
-                raise MissingSidePacket(ids[c]) from None
+                raise MissingSidePacket(m) from None
             x, w = type(p) is bytes and ints.get(p) or (int.from_bytes(p, "little"), len(p))
         else:
-            support = supports[row]
             try:
                 x, w = ints[support]
             except KeyError:
@@ -301,13 +295,15 @@ def decode_receiver(
     memo = _labeled(T, labeling)
     if not _is_count(receiver):
         raise DecodeFailure(f"receiver {echo(receiver)} is not a message id")
-    if memo[3] is None:  # each id's position, on the first decode
-        memo[3] = dict(zip(memo[1], range(len(memo[1]))))
-    p = memo[3].get(receiver)
-    if p is None:
-        raise DecodeFailure(f"receiver {receiver} is not covered by the labeling")
-    _supports(T, memo)  # unless encode filled them, the first decode does
-    return _fold(_chain(T, p), memo, code, side_packets)
+    ops = memo[3].get(receiver)
+    if ops is None:  # on the receiver's first decode: the supports of its chain's rows, unless encode built all
+        ids, supports = memo[1], memo[2] or {}
+        if receiver not in ids:
+            raise DecodeFailure(f"receiver {receiver} is not covered by the labeling")
+        ops = memo[3][receiver] = tuple([
+            (None, ids[c]) if row is None else (supports.get(row) or frozenset(map(ids.__getitem__, row)), None)
+            for row, c in _chain(T, ids.index(receiver))])
+    return _fold(ops, code, side_packets)
 
 
 # ---------- text formats ----------

@@ -20,7 +20,8 @@ repeated ``shortest_cycle_mask`` calls, each found cycle deleted before
 the next; it runs the same BFS, capped at the first length in its queue.
 ``_greedy_cycles`` (its packing of all of D) and ``_greedy_cliques`` keep
 their result for the last Digraph value asked, so that a greedy
-``compare`` computes each once for all of its planners.
+``compare`` computes each once for all of its planners; so does
+``_cyclic_parts``, the strong components that exact planners solve.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from typing import Iterable, Iterator
 from .errors import FormatError, InvalidDigraph, _is_count, echo
 
 # Size bounds.  Every digraph has at most MAX_N vertices, so a mask tuple
-# holds at most MAX_N + 1 ints of MAX_N bits; exact mode fills lists of 2^n
-# entries, about 8 GB each at n = 30, so it refuses n > EXACT_LIMIT
-# whatever the bound.
+# holds at most MAX_N + 1 ints of MAX_N bits; exact mode fills lists of 2^|C|
+# entries per strongly connected component C, 2^n when C spans D, about
+# 8 GB each at n = 30, so it refuses n > EXACT_LIMIT whatever the bound.
 MAX_N = 1024
 EXACT_LIMIT = 20
 
@@ -347,6 +348,23 @@ def strongly_connected_mask(out_m: tuple[int, ...], in_m: tuple[int, ...], mask:
         return False
     start = mask & -mask
     return _reach_mask(out_m, mask, start) == mask and _reach_mask(in_m, mask, start) == mask
+
+
+@lru_cache(maxsize=1)
+def _cyclic_parts(D: Digraph) -> tuple[tuple[Digraph, tuple[int, ...]], ...]:
+    """D's strongly connected components C of two or more vertices, by lowest vertex, each as
+    (D[C] relabelled 1..|C| in ascending vertex order, C's vertices), D itself when C is all
+    of D.  Every cycle lies inside one of them, and the other vertices lie on none."""
+    parts, rest = [], full_mask(D.n)
+    while rest:
+        comp = _reach_mask(D.out_masks, rest, rest & -rest) & _reach_mask(D.in_masks, rest, rest & -rest)
+        rest ^= comp
+        if comp & (comp - 1):  # two or more vertices
+            vs = tuple(iter_mask_vertices(comp))
+            at = {v: i for i, v in enumerate(vs, start=1)}
+            arcs = ((at[u], at[w]) for u in vs for w in iter_mask_vertices(D.out_masks[u] & comp))  # read only for a copy
+            parts.append((D if len(vs) == D.n else new_digraph(len(vs), arcs), vs))
+    return tuple(parts)
 
 
 def _mutual_masks(D: Digraph) -> list[int]:

@@ -2,21 +2,24 @@
 
 A spanning k-path template on a vertex subset saves k - 1 broadcast
 symbols, so exact mode picks a disjoint family of embeddings maximizing
-total savings by dynamic programming over bitmasks.  No index code on a
-subset S is shorter than mais(S), the order of its largest acyclic
-induced subgraph, so a piece on S saves at most |S| - mais(S).  Subsets
-are visited in ascending mask order, which settles the best partition b
-of S into smaller pieces first; S is searched for an embedding only when
-|S| - mais(S) > b, and then only for k in b + 2 .. |S| - mais(S) + 1,
-and only on terminal sets in which every terminal reaches every other.
-Greedy mode packs shortest cycles first (each a k = 2 piece) and then
-tries to merge pieces pairwise into higher-k templates, skipping pairs
-with arcs one way only between them: two disjoint such pieces have a
-union that is not strongly connected, where max_piece finds nothing,
-and unions already refused at the same kmin.  Cliques are templates
-too, so greedy mode returns the greedy clique partition's groups of two
-or more when they save strictly more.  Exact mode leaves mais(D), the
-last entry of its subset table, in _planned_mais for oracles.mais.
+total savings by dynamic programming over bitmasks, run on each strongly
+connected component C of two or more vertices alone, over its 2^|C|
+masks: a template's digraph is strongly connected, so no piece crosses
+two.  No index code on a subset S is shorter than mais(S), the order of
+its largest acyclic induced subgraph, so a piece on S saves at most
+|S| - mais(S).  Subsets are visited in ascending mask order, which
+settles the best partition b of S into smaller pieces first; S is
+searched for an embedding only when |S| - mais(S) > b, and then only for
+k in b + 2 .. |S| - mais(S) + 1, and only on terminal sets in which
+every terminal reaches every other.  Greedy mode packs shortest cycles
+first (each a k = 2 piece) and then tries to merge pieces pairwise into
+higher-k templates, skipping pairs with arcs one way only between them:
+two disjoint such pieces have a union that is not strongly connected,
+where max_piece finds nothing, and unions already refused at the same
+kmin.  Cliques are templates too, so greedy mode returns the greedy
+clique partition's groups of two or more when they save strictly more.
+Exact mode leaves mais(D) = n - sum(|C| - mais(C)), read off the last
+entry of each C's subset table, in _planned_mais for oracles.mais.
 
 Host arcs beyond the template's own are allowed inside a piece; extra
 side information never hurts decodability.
@@ -33,11 +36,11 @@ from .digraph import (
     EXACT_LIMIT,
     Cycle,
     Digraph,
+    _cyclic_parts,
     _greedy_cliques,
     _greedy_cycles,
     _reach_mask,
     full_mask,
-    is_acyclic_mask,
     iter_mask_vertices,
     shortest_cycle_mask,  # unused; iccbench/tracer.py wraps this binding
     strongly_connected_mask,
@@ -367,24 +370,27 @@ def _mais_table(out_m: tuple[int, ...], in_m: tuple[int, ...], n: int) -> list[i
 
 def _exact_cover(D: Digraph) -> list[Piece]:
     global _planned_mais
-    if is_acyclic_mask(D.in_masks, full_mask(D.n)):
-        return []
-    mais_of = _mais_table(D.out_masks, D.in_masks, D.n)
-    _planned_mais = (D, mais_of[-1])
-    search = _EmbeddingSearch(D.out_masks, D.in_masks)
-    emb: dict[int, Embedding] = {}
+    pieces, saved = [], 0
+    for P, vs in _cyclic_parts(D):
+        mais_of = _mais_table(P.out_masks, P.in_masks, P.n)
+        saved += P.n - mais_of[-1]  # mais is additive over the parts
+        search = _EmbeddingSearch(P.out_masks, P.in_masks)
+        emb: dict[int, Embedding] = {}
 
-    def new_piece(mask: int, b: int) -> int:
-        # a piece on S saves at most |S| - mais(S)
-        bound = mask.bit_count() - mais_of[mask]
-        if bound > b:
-            got = search.max_piece(mask, b + 2, bound + 1)
-            if got is not None:
-                emb[mask] = got
-                return got[0] - 1
-        return 0
+        def new_piece(mask: int, b: int) -> int:
+            # a piece on S saves at most |S| - mais(S)
+            bound = mask.bit_count() - mais_of[mask]
+            if bound > b:
+                got = search.max_piece(mask, b + 2, bound + 1)
+                if got is not None:
+                    emb[mask] = got
+                    return got[0] - 1
+            return 0
 
-    return [emb[p][1:] for p in pack_pieces(D.n, new_piece)]
+        for _, T, lab in map(emb.__getitem__, pack_pieces(P.n, new_piece)):  # labels mapped back to D's ids
+            pieces.append((T, FrozenLabeling({c: vs[v - 1] for c, v in lab.items()})))
+    _planned_mais = (D, D.n - saved)
+    return pieces  # by part; _unchecked_plan sorts them by lowest vertex
 
 
 def _greedy_cover(D: Digraph, merge_bound: int) -> list[Piece]:

@@ -2,7 +2,9 @@
 
 Three interchangeable planners produce CoverPlans: cycle packing (every
 cycle viewed as a two-path piece), clique partition (every clique a
-piece of single-vertex paths), and the general template search.
+piece of single-vertex paths), and the general template search.  No
+cycle or clique crosses two strongly connected components, so an exact
+planner runs its DP on each component C alone, over 2^|C| masks.
 assemble_code turns any plan into one broadcast code: per-piece symbols
 first, then an uncoded symbol per leftover vertex, for n - savings
 symbols total.
@@ -18,6 +20,7 @@ from .digraph import (
     MAX_N,
     Cycle,
     Digraph,
+    _cyclic_parts,
     _greedy_cliques,
     _greedy_cycles,
     _mutual_masks,
@@ -83,17 +86,20 @@ def _exact_cycle_packing(D: Digraph) -> list[tuple[int, ...]]:
     induced cycles, each added at its own mask in ascending order, and an
     induced cycle has one vertex order, so _cycle_order lists it.
     """
-    in_m = D.in_masks
+    cycles = []
+    for P, vs in _cyclic_parts(D):  # the DP on each part, cycles mapped back to D's ids
+        in_m = P.in_masks
 
-    def new_cycle(mask: int, b: int) -> int:
-        if b:
-            return 0
-        m = mask  # drops vertices with an in-neighbour in mask, up to a source
-        while m and in_m[(m & -m).bit_length()] & mask:
-            m &= m - 1
-        return 0 if m else 1
+        def new_cycle(mask: int, b: int) -> int:
+            if b:
+                return 0
+            m = mask  # drops vertices with an in-neighbour in mask, up to a source
+            while m and in_m[(m & -m).bit_length()] & mask:
+                m &= m - 1
+            return 0 if m else 1
 
-    return [_cycle_order(D.out_masks, p) for p in pack_pieces(D.n, new_cycle)]
+        cycles += [tuple([vs[v - 1] for v in _cycle_order(P.out_masks, p)]) for p in pack_pieces(P.n, new_cycle)]
+    return sorted(cycles)  # each starts at its lowest vertex
 
 
 def cycle_cover(D: Digraph, mode: str = "exact", exact_bound: int = DEFAULT_EXACT_BOUND) -> CoverPlan:
@@ -111,7 +117,7 @@ def cycle_cover(D: Digraph, mode: str = "exact", exact_bound: int = DEFAULT_EXAC
 
 
 def _exact_clique_partition(D: Digraph) -> list[list[int]]:
-    """Fewest cliques covering D, by one DP over masks in ascending order.
+    """Fewest cliques covering D, by one DP per cyclic part over its masks in ascending order.
 
     parts[mask] takes the clique p through mask's lowest vertex that
     strictly beats every earlier choice, scanning candidates in
@@ -126,33 +132,37 @@ def _exact_clique_partition(D: Digraph) -> list[list[int]]:
     the largest clique first and the lone vertex last, where pack_pieces
     skips the lowest vertex first and takes the smallest piece first.
     """
-    mut = _mutual_masks(D)
-    full = full_mask(D.n)
-    is_clique = bytearray(full + 1)
-    is_clique[0] = 1
-    # fewest parts = most saved symbols
-    parts = [0] * (full + 1)
-    take = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        cand = mask & mut[low.bit_length()]
-        if cand == mask ^ low and is_clique[cand]:
-            is_clique[mask] = 1
-        b, t, floor = None, 0, 1 + parts[mask & ~(cand | low)]
-        sub = cand
-        while True:
-            p = sub | low
-            if is_clique[p]:
-                c = 1 + parts[mask ^ p]
-                if b is None or c < b:
-                    b, t = c, p
-                    if c == floor:
-                        break
-            if sub == 0:
-                break
-            sub = (sub - 1) & cand
-        parts[mask], take[mask] = b, t
-    return [list(iter_mask_vertices(p)) for p in _taken(take, full)]
+    groups, lone = [], set(range(1, D.n + 1))
+    for P, vs in _cyclic_parts(D):  # the DP on each part, groups mapped back to D's ids
+        lone -= set(vs)
+        mut = _mutual_masks(P)
+        full = full_mask(P.n)
+        is_clique = bytearray(full + 1)
+        is_clique[0] = 1
+        # fewest parts = most saved symbols
+        parts = [0] * (full + 1)
+        take = [0] * (full + 1)
+        for mask in range(1, full + 1):
+            low = mask & -mask
+            cand = mask & mut[low.bit_length()]
+            if cand == mask ^ low and is_clique[cand]:
+                is_clique[mask] = 1
+            b, t, floor = None, 0, 1 + parts[mask & ~(cand | low)]
+            sub = cand
+            while True:
+                p = sub | low
+                if is_clique[p]:
+                    c = 1 + parts[mask ^ p]
+                    if b is None or c < b:
+                        b, t = c, p
+                        if c == floor:
+                            break
+                if sub == 0:
+                    break
+                sub = (sub - 1) & cand
+            parts[mask], take[mask] = b, t
+        groups += [[vs[v - 1] for v in iter_mask_vertices(p)] for p in _taken(take, full)]
+    return sorted(groups + [[v] for v in lone])  # by lowest vertex
 
 
 def clique_cover(D: Digraph, mode: str = "exact", exact_bound: int = DEFAULT_EXACT_BOUND) -> CoverPlan:

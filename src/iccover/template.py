@@ -227,7 +227,7 @@ def build_digraph(T: IccTemplate) -> tuple[Digraph, Labeling]:
 
 
 def _labeled(T: IccTemplate, labeling: Labeling) -> list:
-    """[T, ids, supports, positions, top]: T's coordinates' message ids, checked complete and injective, and top,
+    """[T, ids, supports, operands, top]: T's coordinates' message ids, checked complete and injective, and top,
     their largest if all are exact positive ints, else 0; a FrozenLabeling keeps it under T's identity."""
     frozen = type(labeling) is FrozenLabeling
     memo = getattr(labeling, "_memo", None) if frozen else None
@@ -244,7 +244,7 @@ def _labeled(T: IccTemplate, labeling: Labeling) -> list:
             raise InvalidCode("labeling is not injective")
     except TypeError:
         raise InvalidCode("labeling has an unhashable message id") from None
-    memo = [T, ids, None, None, max(ids) if set(map(type, ids)) == {int} and min(ids) > 0 else 0]
+    memo = [T, ids, None, {}, max(ids) if set(map(type, ids)) == {int} and min(ids) > 0 else 0]
     if frozen:
         labeling._memo = memo
     return memo

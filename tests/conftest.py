@@ -1,5 +1,6 @@
 """Shared fixtures: the two reference digraphs with their hand-checked
-templates, plus a deterministic corpus of random templates.
+templates, plus a deterministic corpus of random templates, and the
+references that planners and oracles are judged against.
 """
 
 import random
@@ -9,7 +10,8 @@ import pytest
 
 from iccover import Cycle, IccTemplate, new_digraph, random_template
 from iccover.codec import new_packet_vector, packet_bytes
-from iccover.digraph import _reach_mask, full_mask
+from iccover.digraph import _reach_mask, full_mask, is_acyclic_mask
+from iccover.finder import _EmbeddingSearch, _mais_table, pack_pieces
 from iccover.template import _arc_index
 
 DATA = Path(__file__).parent / "data"
@@ -104,6 +106,42 @@ def enumerate_cycles(D):
                 w = b.bit_length()
                 stack.append((w, pmask | b, path + (w,)))
     return sorted(found, key=lambda c: (len(c.vertices), c.vertices))
+
+
+def block_digraph(rng, sizes, p_in, p_cross):
+    """Random blocks of the given sizes, arcs inside each with probability
+    p_in and from each block to every later one with p_cross (never back),
+    vertex labels shuffled: a digraph whose strongly connected components
+    lie inside the blocks."""
+    starts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+    blocks = [range(a + 1, b + 1) for a, b in zip(starts, starts[1:])]
+    arcs = [(u, v) for b in blocks for u in b for v in b if u != v and rng.random() < p_in]
+    arcs += [(u, v) for i, b in enumerate(blocks) for u in b for v in range(b.stop, starts[-1] + 1) if rng.random() < p_cross]
+    label = list(range(1, starts[-1] + 1))
+    rng.shuffle(label)
+    return new_digraph(starts[-1], [(label[u - 1], label[v - 1]) for u, v in arcs])
+
+
+def whole_mask_exact_cover(D):
+    """The exact ICC planner as one packing DP over all 2^n vertex masks,
+    with one MAIS table of 2^n entries: (pieces in walk order, mais(D)).
+    The planner runs the same DP on each strongly connected component."""
+    if is_acyclic_mask(D.in_masks, full_mask(D.n)):
+        return [], D.n
+    mais_of = _mais_table(D.out_masks, D.in_masks, D.n)
+    search = _EmbeddingSearch(D.out_masks, D.in_masks)
+    emb = {}
+
+    def new_piece(mask, b):
+        bound = mask.bit_count() - mais_of[mask]
+        if bound > b:
+            got = search.max_piece(mask, b + 2, bound + 1)
+            if got is not None:
+                emb[mask] = got
+                return got[0] - 1
+        return 0
+
+    return [emb[p][1:] for p in pack_pieces(D.n, new_piece)], mais_of[-1]
 
 
 def lemma2_pins(T, lab):

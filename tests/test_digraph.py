@@ -14,6 +14,7 @@ from iccover.digraph import (
     MAX_N,
     Cycle,
     Digraph,
+    _cyclic_parts,
     full_mask,
     is_acyclic_mask,
     iter_mask_vertices,
@@ -142,6 +143,30 @@ def test_strongly_connected_mask():
     assert not strongly_connected_mask(out_m, in_m, 0b1100)
     assert not strongly_connected_mask(out_m, in_m, 0b0111)
     assert strongly_connected_mask(out_m, in_m, 0b0001)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 9), st.floats(0.0, 0.6), st.randoms(use_true_random=False))
+def test_cyclic_parts_are_the_strong_components(n, p, rng):
+    D = new_digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v and rng.random() < p])
+
+    def reach(v):
+        seen, todo = {v}, [v]
+        while todo:
+            for w in D.out_neighbors(todo.pop()) - seen:
+                seen.add(w)
+                todo.append(w)
+        return seen
+
+    reached = {v: reach(v) for v in range(1, n + 1)}
+    comps = {tuple(sorted(w for w in reached[v] if v in reached[w])) for v in reached}
+    _cyclic_parts.cache_clear()  # an equal digraph planned earlier would answer for D
+    parts = _cyclic_parts(D)
+    assert [vs for _, vs in parts] == sorted(c for c in comps if len(c) > 1)
+    for P, vs in parts:
+        assert (P is D) == (len(vs) == n)
+        assert P.arcs == {(vs.index(u) + 1, vs.index(v) + 1) for u, v in D.arcs if u in vs and v in vs}
+    assert _cyclic_parts(new_digraph(n, D.arcs)) is parts  # a one-entry memo, keyed by value
 
 
 def _reference_shortest_cycle(out_m, mask):

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_packets
+from conftest import block_digraph, rand_packets, whole_mask_exact_cover
 from iccover.codec import TAG_UNCODED, decode_receiver
 from iccover import finder
 from iccover.digraph import (
     MAX_N,
     Cycle,
+    _cyclic_parts,
     _greedy_clique_partition,
     _greedy_cliques,
     _greedy_cycles,
@@ -35,7 +36,7 @@ from iccover.schemes import (
     plan_length,
     serialize_report,
 )
-from iccover.template import check_embedding, cycle_to_template, validate_template
+from iccover.template import check_embedding, clique_to_template, cycle_to_template, serialize_template, validate_template
 
 
 def ring(L):
@@ -452,6 +453,45 @@ def test_exact_dps_match_reference_on_near_complete_digraphs():
         assert_dps_match_reference(new_digraph(n, arcs))
         for dropped in (1, 3, n):
             assert_dps_match_reference(new_digraph(n, rng.sample(arcs, len(arcs) - min(dropped, len(arcs)))))
+
+
+# ---------- per-component exact planners ----------
+# Each exact planner runs its DP on every strongly connected component
+# alone; these digraphs have two or three, so the plans must come out as
+# the whole-mask DPs give them, labels and piece order included.
+
+
+def plan_record(plan):
+    return [(serialize_template(T), list(lab.items())) for T, lab in plan.pieces], plan.uncovered
+
+
+@st.composite
+def block_digraphs(draw):
+    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=3).filter(lambda s: sum(s) <= 12))
+    p_in, p_cross = draw(st.floats(0.3, 1.0)), draw(st.floats(0.0, 1.0))
+    return block_digraph(draw(st.randoms(use_true_random=False)), sizes, p_in, p_cross)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(block_digraphs())
+def test_exact_planners_match_whole_mask_dps_on_block_digraphs(D):
+    cycles = [cycle_to_template(Cycle(c), (len(c) + 1) // 2) for c in _reference_exact_cycle_packing(D)]
+    assert plan_record(cycle_cover(D)) == plan_record(make_plan(D, cycles))
+    groups = [clique_to_template(D, g) for g in _reference_exact_clique_partition(D)]
+    assert plan_record(clique_cover(D)) == plan_record(make_plan(D, groups))
+    pieces, whole_mais = whole_mask_exact_cover(D)
+    assert plan_record(icc_cover(D)) == plan_record(make_plan(D, pieces))
+    assert finder._planned_mais == (D, whole_mais) and whole_mais == mais_exhaustive(D)
+
+
+def test_exact_planners_on_acyclic_digraphs():
+    rng = random.Random(28)
+    for n in range(0, 13):
+        D = block_digraph(rng, [1] * n, 0.0, rng.random())  # one-vertex blocks: arcs run one way only
+        assert _cyclic_parts(D) == ()
+        assert cycle_cover(D) == icc_cover(D) == CoverPlan((), tuple(range(1, n + 1)))
+        assert [list(lab.values()) for _, lab in clique_cover(D).pieces] == [[v] for v in range(1, n + 1)]
+        assert finder._planned_mais == (D, n)
 
 
 # ---------- every planner piece embeds ----------
