@@ -7,19 +7,19 @@ connected component C of two or more vertices alone, over its 2^|C|
 masks: a template's digraph is strongly connected, so no piece crosses
 two.  No index code on a subset S is shorter than mais(S), the order of
 its largest acyclic induced subgraph, so a piece on S saves at most
-|S| - mais(S).  Subsets are visited in ascending mask order, which
-settles the best partition b of S into smaller pieces first; S is
-searched for an embedding only when |S| - mais(S) > b, and then only for
-k in b + 2 .. |S| - mais(S) + 1, and only on terminal sets in which
-every terminal reaches every other.  Greedy mode packs shortest cycles
-first (each a k = 2 piece) and then tries to merge pieces pairwise into
-higher-k templates, skipping pairs with arcs one way only between them:
-two disjoint such pieces have a union that is not strongly connected,
-where max_piece finds nothing, and unions already refused at the same
-kmin.  Cliques are templates too, so greedy mode returns the greedy
-clique partition's groups of two or more when they save strictly more.
-Exact mode leaves mais(D) = n - sum(|C| - mais(C)), read off the last
-entry of each C's subset table, in _planned_mais for oracles.mais.
+|S| - mais(S), its cap.  Subsets are visited in ascending mask order,
+which settles the best partition b of S into smaller pieces first; S is
+searched for an embedding only when its cap exceeds b, and then only for
+k in b + 2 .. cap + 1, and only on terminal sets in which every terminal
+reaches every other.  Greedy mode packs shortest cycles first (each a
+k = 2 piece) and then tries to merge pieces pairwise into higher-k
+templates, skipping pairs with arcs one way only between them: two
+disjoint such pieces have a union that is not strongly connected, where
+max_piece finds nothing, and unions already refused at the same kmin.
+Cliques are templates too, so greedy mode returns the greedy clique
+partition's groups of two or more when they save strictly more.  The
+last digraph's exact plan is kept by value, with mais(D) = n minus the
+sum of each C's last cap, |C| - mais(C), which compare reports.
 
 Host arcs beyond the template's own are allowed inside a piece; extra
 side information never hurts decodability.
@@ -28,7 +28,7 @@ side information never hurts decodability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from operator import or_
 
@@ -40,7 +40,6 @@ from .digraph import (
     _greedy_cliques,
     _greedy_cycles,
     _reach_mask,
-    full_mask,
     iter_mask_vertices,
     shortest_cycle_mask,  # unused; iccbench/tracer.py wraps this binding
     strongly_connected_mask,
@@ -53,7 +52,6 @@ DEFAULT_EXACT_BOUND = 12
 Piece = tuple[IccTemplate, Labeling]
 # internal: (k, template, labeling) for one spanning embedding
 Embedding = tuple[int, IccTemplate, Labeling]
-_planned_mais: tuple[Digraph, int] | None = None  # (D, mais(D)) for the D _exact_cover planned last
 
 
 @dataclass(frozen=True)
@@ -121,9 +119,9 @@ def exact_mode(D: Digraph, mode: str, exact_bound: int, what: str) -> bool:
     raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
 
 
-def pack_pieces(n: int, new_piece) -> list[int]:
-    """Most valuable disjoint pieces, by a DP over vertex masks in ascending
-    order; returns the chosen pieces' masks.
+def pack_pieces(caps: list[int], new_piece) -> list[int]:
+    """Most valuable disjoint pieces, by a DP over the 2^n = len(caps)
+    vertex masks in ascending order; returns the chosen pieces' masks.
 
     best[mask] either skips mask's lowest vertex ("skip low") or takes the
     first piece p through that vertex, in ascending order, that strictly
@@ -131,9 +129,10 @@ def pack_pieces(n: int, new_piece) -> list[int]:
     split of mask into smaller pieces, is settled when new_piece(mask, b)
     may add a piece on exactly mask worth more than b (it returns that
     worth, or 0).  A piece worth no more than b never wins the strict >,
-    here or at a larger mask, where that split scores as much, earlier.
+    here or at a larger mask, where that split scores as much, earlier; so
+    the DP asks only when caps[mask], the most a piece on mask saves, exceeds b.
     """
-    full = full_mask(n)
+    full = len(caps) - 1
     by_low: dict[int, list[tuple[int, int]]] = {}  # (mask, worth) of each piece, by lowest vertex
     best = [0] * (full + 1)
     take = [0] * (full + 1)
@@ -146,10 +145,11 @@ def pack_pieces(n: int, new_piece) -> list[int]:
             c = w + best[mask ^ p]
             if c > b:
                 b, t = c, p
-        c = new_piece(mask, b)
-        if c:
-            by_low.setdefault(low, []).append((mask, c))
-            b, t = c, mask
+        if caps[mask] > b:
+            c = new_piece(mask, b)
+            if c:
+                by_low.setdefault(low, []).append((mask, c))
+                b, t = c, mask
         best[mask], take[mask] = b, t
     return _taken(take, full)
 
@@ -368,29 +368,23 @@ def _mais_table(out_m: tuple[int, ...], in_m: tuple[int, ...], n: int) -> list[i
     return table
 
 
-def _exact_cover(D: Digraph) -> list[Piece]:
-    global _planned_mais
+@lru_cache(maxsize=1)
+def _exact_cover(D: Digraph) -> tuple[tuple[Piece, ...], int]:
+    """(the exact pieces, by part, mais(D)); _unchecked_plan sorts the pieces by lowest vertex."""
     pieces, saved = [], 0
     for P, vs in _cyclic_parts(D):
-        mais_of = _mais_table(P.out_masks, P.in_masks, P.n)
-        saved += P.n - mais_of[-1]  # mais is additive over the parts
+        caps = [mask.bit_count() - m for mask, m in enumerate(_mais_table(P.out_masks, P.in_masks, P.n))]
+        saved += caps[-1]  # mais is additive over the parts
         search = _EmbeddingSearch(P.out_masks, P.in_masks)
         emb: dict[int, Embedding] = {}
 
         def new_piece(mask: int, b: int) -> int:
-            # a piece on S saves at most |S| - mais(S)
-            bound = mask.bit_count() - mais_of[mask]
-            if bound > b:
-                got = search.max_piece(mask, b + 2, bound + 1)
-                if got is not None:
-                    emb[mask] = got
-                    return got[0] - 1
-            return 0
+            emb[mask] = got = search.max_piece(mask, b + 2, caps[mask] + 1)
+            return got[0] - 1 if got else 0
 
-        for _, T, lab in map(emb.__getitem__, pack_pieces(P.n, new_piece)):  # labels mapped back to D's ids
+        for _, T, lab in map(emb.__getitem__, pack_pieces(caps, new_piece)):  # labels mapped back to D's ids
             pieces.append((T, FrozenLabeling({c: vs[v - 1] for c, v in lab.items()})))
-    _planned_mais = (D, D.n - saved)
-    return pieces  # by part; _unchecked_plan sorts them by lowest vertex
+    return tuple(pieces), D.n - saved
 
 
 def _greedy_cover(D: Digraph, merge_bound: int) -> list[Piece]:
@@ -429,5 +423,5 @@ def find_icc_subgraphs(D: Digraph, mode: str = "exact", exact_bound: int = DEFAU
     min(exact_bound, EXACT_LIMIT) vertices; greedy mode handles any size
     and reuses the bound as its piece-merge size cap.  Both are deterministic.
     """
-    pieces = _exact_cover(D) if exact_mode(D, mode, exact_bound, "subgraph search") else _greedy_cover(D, exact_bound)
+    pieces = _exact_cover(D)[0] if exact_mode(D, mode, exact_bound, "subgraph search") else _greedy_cover(D, exact_bound)
     return _unchecked_plan(D, pieces)

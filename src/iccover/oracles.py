@@ -4,8 +4,8 @@ and Lemma 2's cycle structure by reachability.
 Everything here re-derives properties from first principles so the codec
 and the planners can be cross-checked rather than trusted: decodability
 by rank over GF(2) instead of the structural chains, the broadcast lower
-bound by brute force over induced subgraphs, or, for the digraph the
-exact finder planned last, read off its subset table.  Lemma 2 (every
+bound by branch and bound and by brute force over induced subgraphs.
+Nothing here imports a planner or reads planner state.  Lemma 2 (every
 cycle through a path vertex passes through its path's terminal) is
 checked exactly in polynomial time: a cycle through v avoids t iff v
 lies on a cycle of D - t, one backward search per vertex.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import finder
 from .codec import IndexCode, code_length
 from .digraph import (
     Digraph,
@@ -182,13 +181,10 @@ def mais(D: Digraph, bound: int = DEFAULT_MAIS_BOUND) -> int:
     before it, so that no cut is searched twice; prune with a greedy
     disjoint-cycle lower bound.  The first leaf deletes the first vertex
     of each shortest cycle in turn, so the search starts from that greedy
-    cut.  The digraph the exact finder planned last skips the search.
+    cut.
     """
     if D.n > bound:
         raise SizeRefusal(f"exact acyclic-set search is limited to {bound} vertices (digraph has {D.n})")
-    planned = finder._planned_mais
-    if planned is not None and planned[0] == D:
-        return planned[1]
     return D.n - _min_cycle_cut(D.out_masks, full_mask(D.n), 0, 0, D.n)
 
 

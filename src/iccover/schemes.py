@@ -31,7 +31,7 @@ from .digraph import (
 )
 from .errors import EmbeddingError, InvalidCode, InvalidDigraph, SizeRefusal, _is_count
 from .finder import DEFAULT_EXACT_BOUND, CoverPlan, _taken, _unchecked_plan, exact_mode, find_icc_subgraphs, make_plan
-from .finder import pack_pieces
+from .finder import _exact_cover, pack_pieces
 from .oracles import mais
 from .template import check_embedding  # unused; iccbench/tracer.py wraps this binding
 from .template import clique_to_template, cycle_to_template
@@ -79,26 +79,26 @@ def _exact_cycle_packing(D: Digraph) -> list[tuple[int, ...]]:
     """Most vertex-disjoint cycles, by pack_pieces with a piece worth 1 on
     each induced (chordless) cycle.
 
-    A cycle never beats a split b >= 1, so new_cycle offers one only when
-    b == 0, that is when every proper subset of mask is acyclic.  Then
-    mask holds a cycle iff no vertex is a source in D[mask], and that
-    cycle spans mask without a chord.  So the pieces are exactly the
-    induced cycles, each added at its own mask in ascending order, and an
-    induced cycle has one vertex order, so _cycle_order lists it.
+    A cycle saves 1, so with a cap of 1 on every mask pack_pieces asks
+    new_cycle only when b == 0, that is when every proper subset of mask
+    is acyclic.  Then mask holds a cycle iff no vertex is a source in
+    D[mask], and that cycle spans mask without a chord.  So the pieces
+    are exactly the induced cycles, each added at its own mask in
+    ascending order, and an induced cycle has one vertex order, so
+    _cycle_order lists it.
     """
     cycles = []
     for P, vs in _cyclic_parts(D):  # the DP on each part, cycles mapped back to D's ids
         in_m = P.in_masks
 
         def new_cycle(mask: int, b: int) -> int:
-            if b:
-                return 0
             m = mask  # drops vertices with an in-neighbour in mask, up to a source
             while m and in_m[(m & -m).bit_length()] & mask:
                 m &= m - 1
             return 0 if m else 1
 
-        cycles += [tuple([vs[v - 1] for v in _cycle_order(P.out_masks, p)]) for p in pack_pieces(P.n, new_cycle)]
+        chosen = pack_pieces([1] * (1 << P.n), new_cycle)  # a cycle saves 1
+        cycles += [tuple([vs[v - 1] for v in _cycle_order(P.out_masks, p)]) for p in chosen]
     return sorted(cycles)  # each starts at its lowest vertex
 
 
@@ -210,13 +210,14 @@ def assemble_code(D: Digraph, plan: CoverPlan, packets: PacketVector | None = No
 
 def compare(D: Digraph, exact_bound: int = DEFAULT_EXACT_BOUND) -> SchemeReport:
     """Run all three planners (exact within the bound, greedy beyond) and
-    the acyclic-set bound; flag optimality only when the bound is met."""
+    the acyclic-set bound, which in exact mode the ICC planner's subset
+    tables give; flag optimality only when the bound is met."""
     mode = "exact" if D.n <= exact_bound else "greedy"
     l_cyc = plan_length(D, cycle_cover(D, mode, exact_bound))
     l_cc = plan_length(D, clique_cover(D, mode, exact_bound))
     l_icc = plan_length(D, icc_cover(D, mode, exact_bound))
     try:
-        lower = mais(D)
+        lower = _exact_cover(D)[1] if mode == "exact" else mais(D)  # the exact one kept by icc_cover
     except SizeRefusal:
         lower = None
     return SchemeReport(D.n, l_cyc, l_cc, l_icc, lower, lower is not None and l_icc == lower)

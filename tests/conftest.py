@@ -129,19 +129,48 @@ def whole_mask_exact_cover(D):
     if is_acyclic_mask(D.in_masks, full_mask(D.n)):
         return [], D.n
     mais_of = _mais_table(D.out_masks, D.in_masks, D.n)
+    caps = [mask.bit_count() - m for mask, m in enumerate(mais_of)]
     search = _EmbeddingSearch(D.out_masks, D.in_masks)
     emb = {}
 
     def new_piece(mask, b):
-        bound = mask.bit_count() - mais_of[mask]
-        if bound > b:
-            got = search.max_piece(mask, b + 2, bound + 1)
-            if got is not None:
-                emb[mask] = got
-                return got[0] - 1
+        got = search.max_piece(mask, b + 2, caps[mask] + 1)
+        if got is not None:
+            emb[mask] = got
+            return got[0] - 1
         return 0
 
-    return [emb[p][1:] for p in pack_pieces(D.n, new_piece)], mais_of[-1]
+    return [emb[p][1:] for p in pack_pieces(caps, new_piece)], mais_of[-1]
+
+
+def ungated_pack_pieces(caps, new_piece):
+    """pack_pieces without its cap gate: the same DP, asking new_piece on
+    every mask whatever its cap, the reference the gated DP is held to."""
+    full = len(caps) - 1
+    by_low = {}
+    best = [0] * (full + 1)
+    take = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        b, t = best[mask ^ low], 0
+        for p, w in by_low.get(low, ()):
+            if p & ~mask:
+                continue
+            c = w + best[mask ^ p]
+            if c > b:
+                b, t = c, p
+        c = new_piece(mask, b)
+        if c:
+            by_low.setdefault(low, []).append((mask, c))
+            b, t = c, mask
+        best[mask], take[mask] = b, t
+    chosen, mask = [], full
+    while mask:
+        p = take[mask]
+        if p:
+            chosen.append(p)
+        mask ^= p or mask & -mask
+    return chosen
 
 
 def lemma2_pins(T, lab):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ungated_pack_pieces
 from iccover.digraph import Cycle, _greedy_clique_partition, full_mask, is_acyclic_mask, new_digraph, shortest_cycle_mask
 from iccover.errors import EmbeddingError, SizeRefusal
 from iccover.finder import (
@@ -13,6 +14,7 @@ from iccover.finder import (
     _mais_table,
     find_icc_subgraphs,
     make_plan,
+    pack_pieces,
 )
 from iccover.oracles import mais, verify_code
 from iccover.schemes import assemble_code, clique_cover, cycle_cover, gap_family, icc_cover, plan_length
@@ -273,6 +275,50 @@ def test_mais_table_matches_exhaustive():
                     break
                 sub = (sub - 1) & mask
             assert table[mask] == best, (n, p, mask)
+
+
+# ---------- the packing DP's cap gate ----------
+# pack_pieces asks its hook only where caps[mask] > b.  A hook whose
+# worths keep to their caps has nothing to offer elsewhere, so the gated
+# DP must choose what the ungated reference, asking on every mask, does.
+
+
+@st.composite
+def capped_worths(draw):
+    # a drawn seed, as in seeded_digraphs: worths[mask] <= caps[mask] on all 2^n masks
+    n, top, rng = draw(st.integers(0, 8)), draw(st.integers(0, 4)), random.Random(draw(st.integers(0, 2**32)))
+    caps = [rng.randint(0, top) for _ in range(1 << n)]
+    return caps, [rng.randint(0, c) for c in caps]
+
+
+def worth_hook(worths, asked):
+    def new_piece(mask, b):
+        asked.append((mask, b))
+        return worths[mask] if worths[mask] > b else 0
+
+    return new_piece
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(capped_worths())
+def test_pack_pieces_chooses_what_the_ungated_dp_chooses(caps_worths):
+    caps, worths = caps_worths
+    asked, every = [], []
+    got = pack_pieces(caps, worth_hook(worths, asked))
+    assert got == ungated_pack_pieces(caps, worth_hook(worths, every))
+    assert all(caps[mask] > b for mask, b in asked)
+    assert len(every) == len(caps) - 1
+
+
+def test_pack_pieces_gate_drops_a_worth_above_its_cap():
+    # caps of 1, as cycle packing passes: the piece on {1, 2} already gives
+    # {1, 2, 3} a split worth its cap of 1, so the DP never asks there for
+    # the worth of 2 that breaks that cap
+    caps = [1] * 8
+    kept, over = [0, 0, 0, 1, 0, 0, 0, 1], [0, 0, 0, 1, 0, 0, 0, 2]
+    assert pack_pieces(caps, worth_hook(kept, [])) == ungated_pack_pieces(caps, worth_hook(kept, [])) == [0b011]
+    assert pack_pieces(caps, worth_hook(over, [])) == [0b011]
+    assert ungated_pack_pieces(caps, worth_hook(over, [])) == [0b111]
 
 
 def test_dense_twelve_vertex_instance_is_certified_optimal():

@@ -1,14 +1,16 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_cycles, lemma2_by_enumeration, lemma2_pins
+from conftest import block_digraph, enumerate_cycles, lemma2_by_enumeration, lemma2_pins
 from iccover.codec import IndexCode, CodedSymbol, encode
 from iccover.digraph import full_mask, new_digraph, side_info
-from iccover.finder import find_icc_subgraphs
+from iccover.finder import _exact_cover, find_icc_subgraphs
 from iccover.schemes import assemble_code, clique_cover, compare, cycle_cover, gap_family, icc_cover
 from iccover.errors import InvalidCode, SizeRefusal
 from iccover.oracles import (
@@ -161,11 +163,49 @@ def test_mais_matches_exhaustive_property(D):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(seeded_digraphs(max_n=9))
 def test_mais_paths_agree_after_exact_planning(D):
-    # exact planning leaves mais(D) from its subset table, which mais then
-    # returns; the branch and bound still gets the same value by itself
+    # exact planning keeps mais(D) from its subset tables with its plan;
+    # mais runs the branch and bound all the same, and gets that value
     find_icc_subgraphs(D)
     cut = D.n - _min_cycle_cut(D.out_masks, full_mask(D.n), 0, 0, D.n)
     assert mais(D) == cut == mais_exhaustive(D)
+
+
+@st.composite
+def seeded_block_digraphs(draw):
+    # blocks of 1..6 vertices, at most 12 in all: strongly connected components inside the blocks
+    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=3).filter(lambda s: sum(s) <= 12))
+    rng, p_in, p_cross = random.Random(draw(st.integers(0, 2**32))), draw(st.floats(0.3, 1.0)), draw(st.floats(0.0, 1.0))
+    return block_digraph(rng, sizes, p_in, p_cross)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(seeded_digraphs(), seeded_block_digraphs()))
+def test_compare_reports_the_mais_both_oracles_give(D):
+    # exact compare reads mais from the ICC planner's subset tables; the
+    # branch and bound and the subset scan are judged against it
+    assert compare(D).mais == mais(D) == mais_exhaustive(D)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seeded_digraphs(max_n=9))
+def test_mais_is_the_same_whether_or_not_an_equal_digraph_was_planned(D):
+    _exact_cover.cache_clear()
+    cold = mais(D)
+    icc_cover(new_digraph(D.n, D.arcs))  # an equal digraph, not the same object
+    assert _exact_cover.cache_info().currsize == 1
+    assert mais(D) == cold == _exact_cover(D)[1]
+
+
+def test_oracles_import_no_planner():
+    # the oracles judge the planners, so they may not read planner state
+    path = Path(__file__).resolve().parents[1] / "src" / "iccover" / "oracles.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported |= {part for alias in node.names for part in alias.name.split(".")}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= set((node.module or "").split(".")) | {alias.name for alias in node.names}
+    assert "digraph" in imported and not imported & {"finder", "schemes"}
 
 
 @pytest.mark.parametrize(

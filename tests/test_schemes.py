@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import block_digraph, rand_packets, whole_mask_exact_cover
 from iccover.codec import TAG_UNCODED, decode_receiver
-from iccover import finder
 from iccover.digraph import (
     MAX_N,
     Cycle,
@@ -22,7 +21,7 @@ from iccover.digraph import (
     side_info,
 )
 from iccover.errors import EmbeddingError, InvalidDigraph, SizeRefusal
-from iccover.finder import CoverPlan, make_plan
+from iccover.finder import CoverPlan, _exact_cover, make_plan
 from iccover.oracles import mais, mais_exhaustive, verify_code
 from iccover.schemes import (
     _exact_clique_partition,
@@ -481,7 +480,7 @@ def test_exact_planners_match_whole_mask_dps_on_block_digraphs(D):
     assert plan_record(clique_cover(D)) == plan_record(make_plan(D, groups))
     pieces, whole_mais = whole_mask_exact_cover(D)
     assert plan_record(icc_cover(D)) == plan_record(make_plan(D, pieces))
-    assert finder._planned_mais == (D, whole_mais) and whole_mais == mais_exhaustive(D)
+    assert compare(D).mais == mais(D) == mais_exhaustive(D) == whole_mais
 
 
 def test_exact_planners_on_acyclic_digraphs():
@@ -491,7 +490,7 @@ def test_exact_planners_on_acyclic_digraphs():
         assert _cyclic_parts(D) == ()
         assert cycle_cover(D) == icc_cover(D) == CoverPlan((), tuple(range(1, n + 1)))
         assert [list(lab.values()) for _, lab in clique_cover(D).pieces] == [[v] for v in range(1, n + 1)]
-        assert finder._planned_mais == (D, n)
+        assert compare(D).mais == mais(D) == mais_exhaustive(D) == n
 
 
 # ---------- every planner piece embeds ----------
@@ -590,10 +589,9 @@ def test_greedy_icc_is_never_longer_than_the_clique_cover(n, p, l_icc):
 # ---------- one analysis per compare ----------
 
 
-def clear_memos(monkeypatch):
-    _greedy_cycles.cache_clear()
-    _greedy_cliques.cache_clear()
-    monkeypatch.setattr(finder, "_planned_mais", None)
+def clear_memos():
+    for memo in (_cyclic_parts, _exact_cover, _greedy_cycles, _greedy_cliques):
+        memo.cache_clear()
 
 
 def every_analysis(D):
@@ -601,15 +599,16 @@ def every_analysis(D):
     return plans, compare(D), compare(D, exact_bound=D.n - 1), mais(D)
 
 
-def test_memos_give_what_a_cleared_cache_gives(monkeypatch):
+def test_memos_give_what_a_cleared_cache_gives():
     rng = random.Random(21)
     D1, D2 = random_digraph(rng, 9, 0.35), random_digraph(rng, 10, 0.5)
     copy = new_digraph(D1.n, D1.arcs)
     assert copy == D1 and copy is not D1
     for D in (D1, D2, D1, copy):
         got = every_analysis(D)
-        clear_memos(monkeypatch)
+        clear_memos()
         assert got == every_analysis(D)
+        assert compare(D).mais == mais(D) == mais_exhaustive(D)
 
 
 def test_memos_hold_one_immutable_entry():
@@ -623,15 +622,22 @@ def test_memos_hold_one_immutable_entry():
     assert _greedy_cycles(D) is cycles and _greedy_cliques(D) is groups
     small = random_digraph(random.Random(23), 8, 0.4)
     icc_cover(small)
-    assert finder._planned_mais == (small, mais_exhaustive(small))
+    hits = _exact_cover.cache_info().hits
+    pieces, lower = _exact_cover(small)
+    assert _exact_cover.cache_info().hits == hits + 1 and _exact_cover.cache_info().currsize == 1
+    assert type(pieces) is tuple and all(type(piece) is tuple for piece in pieces)
+    assert compare(small).mais == mais(small) == mais_exhaustive(small) == lower
 
 
 def test_mais_of_another_digraph_is_searched(monkeypatch):
     rng = random.Random(24)
     D1, D2 = random_digraph(rng, 9, 0.4), random_digraph(rng, 9, 0.4)
     assert D1 != D2
-    icc_cover(D1)  # exact: leaves mais(D1) behind
+    icc_cover(D1)  # exact: keeps mais(D1) with its plan
     assert mais(D2) == mais_exhaustive(D2)
-    # exact compare reads mais from the planner's subset table, no search
-    monkeypatch.setattr("iccover.oracles._min_cycle_cut", None)
+    with monkeypatch.context() as patched:
+        # exact compare reads mais from the planner's subset tables, no search
+        patched.setattr("iccover.oracles._min_cycle_cut", None)
+        assert compare(D1).mais == mais_exhaustive(D1)
+    # and mais searches, whichever digraph was planned last
     assert compare(D1).mais == mais(D1) == mais_exhaustive(D1)
