@@ -11,15 +11,16 @@ its largest acyclic induced subgraph, so a piece on S saves at most
 which settles the best partition b of S into smaller pieces first; S is
 searched for an embedding only when its cap exceeds b, and then only for
 k in b + 2 .. cap + 1, and only on terminal sets in which every terminal
-reaches every other.  Greedy mode packs shortest cycles first (each a
-k = 2 piece) and then tries to merge pieces pairwise into higher-k
-templates, skipping pairs with arcs one way only between them: two
-disjoint such pieces have a union that is not strongly connected, where
-max_piece finds nothing, and unions already refused at the same kmin.
-Cliques are templates too, so greedy mode returns the greedy clique
-partition's groups of two or more when they save strictly more.  The
-last digraph's exact plan is kept by value, with mais(D) = n minus the
-sum of each C's last cap, |C| - mais(C), which compare reports.
+reaches every other.  The DP keeps a worth per piece and embeds only the
+chosen masks, once, after it.  Greedy mode packs shortest cycles first
+(each a k = 2 piece) and then tries to merge pieces pairwise into
+higher-k templates, skipping pairs with arcs one way only between them:
+two disjoint such pieces have a union that is not strongly connected,
+where max_piece finds nothing, and unions already refused at the same
+kmin.  Cliques are templates too, so greedy mode returns the greedy
+clique partition's groups of two or more when they save strictly more.
+The last digraph's exact plan is kept by value, with mais(D) = n minus
+the sum of each C's last cap, |C| - mais(C), which compare reports.
 
 Host arcs beyond the template's own are allowed inside a piece; extra
 side information never hurts decodability.
@@ -50,8 +51,6 @@ from .template import FrozenLabeling, IccTemplate, Labeling, _coord_tuple, check
 DEFAULT_EXACT_BOUND = 12
 
 Piece = tuple[IccTemplate, Labeling]
-# internal: (k, template, labeling) for one spanning embedding
-Embedding = tuple[int, IccTemplate, Labeling]
 
 
 @dataclass(frozen=True)
@@ -196,7 +195,7 @@ class _EmbeddingSearch:
         self.paths: list[list[int]] = []
         self.allpairs: list[tuple[int, int]] = []
 
-    def max_piece(self, mask: int, kmin: int = 2, kmax: int | None = None) -> Embedding | None:
+    def max_piece(self, mask: int, kmin: int = 2, kmax: int | None = None) -> Piece | None:
         """Largest-k spanning embedding on the subset with kmin <= k <= kmax."""
         out_m = self.out_m
         verts = list(iter_mask_vertices(mask))
@@ -215,7 +214,7 @@ class _EmbeddingSearch:
                 if self._linked(mask, terms):
                     found = self._embed(mask, terms)
                     if found is not None:
-                        return (k, *found)
+                        return found
         return None
 
     def _linked(self, mask: int, terms: tuple[int, ...]) -> bool:
@@ -233,14 +232,14 @@ class _EmbeddingSearch:
                 return False
         return True
 
-    def _embed(self, mask: int, terms: tuple[int, ...]) -> tuple[IccTemplate, Labeling] | None:
+    def _embed(self, mask: int, terms: tuple[int, ...]) -> Piece | None:
         k = len(terms)
         self.terms = terms
         self.paths = [[t] for t in terms]
         self.allpairs = [(i, j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j]
         return self._grow(0, mask & ~sum([1 << (t - 1) for t in terms]))
 
-    def _finalize(self, conn: dict[tuple[int, int], list[int]]) -> tuple[IccTemplate, Labeling] | None:
+    def _finalize(self, conn: dict[tuple[int, int], list[int]]) -> Piece | None:
         out_m, terms, paths = self.out_m, self.terms, self.paths
         k = len(terms)
         type_ii: dict[tuple[int, int], int] = {}
@@ -370,19 +369,19 @@ def _mais_table(out_m: tuple[int, ...], in_m: tuple[int, ...], n: int) -> list[i
 
 @lru_cache(maxsize=1)
 def _exact_cover(D: Digraph) -> tuple[tuple[Piece, ...], int]:
-    """(the exact pieces, by part, mais(D)); _unchecked_plan sorts the pieces by lowest vertex."""
+    """(the pieces, by part, mais(D)): the DP keeps a worth per piece and embeds only the chosen masks, once, after it."""
     pieces, saved = [], 0
     for P, vs in _cyclic_parts(D):
         caps = [mask.bit_count() - m for mask, m in enumerate(_mais_table(P.out_masks, P.in_masks, P.n))]
         saved += caps[-1]  # mais is additive over the parts
         search = _EmbeddingSearch(P.out_masks, P.in_masks)
-        emb: dict[int, Embedding] = {}
 
         def new_piece(mask: int, b: int) -> int:
-            emb[mask] = got = search.max_piece(mask, b + 2, caps[mask] + 1)
-            return got[0] - 1 if got else 0
+            got = search.max_piece(mask, b + 2, caps[mask] + 1)
+            return got[0].k - 1 if got else 0
 
-        for _, T, lab in map(emb.__getitem__, pack_pieces(caps, new_piece)):  # labels mapped back to D's ids
+        for p in pack_pieces(caps, new_piece):  # labels mapped back to D's ids
+            T, lab = search.max_piece(p, kmax=caps[p] + 1)  # the hook's find: its kmin cut only smaller k
             pieces.append((T, FrozenLabeling({c: vs[v - 1] for c, v in lab.items()})))
     return tuple(pieces), D.n - saved
 
@@ -390,7 +389,7 @@ def _exact_cover(D: Digraph) -> tuple[tuple[Piece, ...], int]:
 def _greedy_cover(D: Digraph, merge_bound: int) -> list[Piece]:
     out_m, in_m = D.out_masks, D.in_masks
     cycles = _greedy_cycles(D)
-    found: list[Embedding] = [(2, *cycle_to_template(Cycle(c), (len(c) + 1) // 2)) for c in cycles]
+    found = [cycle_to_template(Cycle(c), (len(c) + 1) // 2) for c in cycles]
     # each piece's vertex mask, and the union of its vertices' out-masks
     verts = [sum(1 << (v - 1) for v in c) for c in cycles]
     outs = [reduce(or_, [out_m[v] for v in c]) for c in cycles]
@@ -402,7 +401,7 @@ def _greedy_cover(D: Digraph, merge_bound: int) -> list[Piece]:
             if union.bit_count() > merge_bound or not (outs[a] & verts[b] and outs[b] & verts[a]):
                 continue
             # a merge must save at least what the two pieces save apart
-            tried = (union, found[a][0] + found[b][0])
+            tried = (union, found[a][0].k + found[b][0].k)
             got = None if tried in failed else search.max_piece(*tried)
             if got is not None:
                 found[a], verts[a], outs[a] = got, union, outs[a] | outs[b]
@@ -411,9 +410,9 @@ def _greedy_cover(D: Digraph, merge_bound: int) -> list[Piece]:
             failed.add(tried)
         else:
             groups = [g for g in _greedy_cliques(D) if len(g) > 1]
-            if sum(map(len, groups)) - len(groups) > sum(k - 1 for k, _, _ in found):
+            if sum(map(len, groups)) - len(groups) > sum(T.k - 1 for T, _ in found):
                 return [clique_to_template(D, g) for g in groups]
-            return [(T, lab) for _, T, lab in found]
+            return found
 
 
 def find_icc_subgraphs(D: Digraph, mode: str = "exact", exact_bound: int = DEFAULT_EXACT_BOUND) -> CoverPlan:

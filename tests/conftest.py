@@ -137,10 +137,10 @@ def whole_mask_exact_cover(D):
         got = search.max_piece(mask, b + 2, caps[mask] + 1)
         if got is not None:
             emb[mask] = got
-            return got[0] - 1
+            return got[0].k - 1
         return 0
 
-    return [emb[p][1:] for p in pack_pieces(caps, new_piece)], mais_of[-1]
+    return [emb[p] for p in pack_pieces(caps, new_piece)], mais_of[-1]
 
 
 def ungated_pack_pieces(caps, new_piece):

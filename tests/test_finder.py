@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -6,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ungated_pack_pieces
-from iccover.digraph import Cycle, _greedy_clique_partition, full_mask, is_acyclic_mask, new_digraph, shortest_cycle_mask
+from iccover.digraph import Cycle, _cyclic_parts, _greedy_clique_partition, full_mask, is_acyclic_mask, new_digraph, shortest_cycle_mask
 from iccover.errors import EmbeddingError, SizeRefusal
 from iccover.finder import (
     DEFAULT_EXACT_BOUND,
     _EmbeddingSearch,
+    _exact_cover,
     _mais_table,
     find_icc_subgraphs,
     make_plan,
@@ -159,7 +161,7 @@ def unpruned_max_piece(search, mask, kmin=2, kmax=None):
         for terms in combinations(verts, k):
             found = search._embed(mask, terms)
             if found is not None:
-                return (k, *found)
+                return found
     return None
 
 
@@ -181,7 +183,7 @@ def unpruned_exact_plan(D):
         for p in by_low.get(low, ()):
             if p & ~mask:
                 continue
-            c = emb[p][0] - 1 + best[mask ^ p]
+            c = emb[p][0].k - 1 + best[mask ^ p]
             if c > b:
                 b, t = c, p
         best[mask], take[mask] = b, t
@@ -190,7 +192,7 @@ def unpruned_exact_plan(D):
     while mask:
         p = take[mask]
         if p:
-            pieces.append(emb[p][1:])
+            pieces.append(emb[p])
             mask ^= p
         else:
             mask ^= mask & -mask
@@ -333,6 +335,24 @@ def test_dense_twelve_vertex_instance_is_certified_optimal():
     assert plan_length(D, plan) == 7 == mais(D)
 
 
+def test_exact_search_holds_no_embedding_beyond_the_plan():
+    # in K_10 a piece beats its split on every mask of two or more
+    # vertices; keeping each one's template and labeling until the DP
+    # ends peaked at about 3 MiB, a worth per piece stays far below 1 MiB
+    n = 10
+    D = new_digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v])
+    _cyclic_parts.cache_clear()
+    _exact_cover.cache_clear()
+    tracemalloc.start()
+    try:
+        plan = find_icc_subgraphs(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [T.k for T, _ in plan.pieces] == [n] and plan.uncovered == ()
+    assert peak < 1 << 20, f"peak {peak / (1 << 20):.2f} MiB"
+
+
 def reference_greedy_plan(D, merge_bound=DEFAULT_EXACT_BOUND):
     """Greedy plan by repeated shortest_cycle_mask, then every pair of
     pieces tried for a merge, with no prefilter; the greedy clique
@@ -345,7 +365,7 @@ def reference_greedy_plan(D, merge_bound=DEFAULT_EXACT_BOUND):
         cyc = shortest_cycle_mask(out_m, pool)
         if cyc is None:
             break
-        found.append((2, *cycle_to_template(Cycle(cyc), (len(cyc) + 1) // 2)))
+        found.append(cycle_to_template(Cycle(cyc), (len(cyc) + 1) // 2))
         for v in cyc:
             pool &= ~(1 << (v - 1))
 
@@ -358,10 +378,10 @@ def reference_greedy_plan(D, merge_bound=DEFAULT_EXACT_BOUND):
         merged = False
         for a in range(len(found)):
             for b in range(a + 1, len(found)):
-                union = vmask(found[a][2]) | vmask(found[b][2])
+                union = vmask(found[a][1]) | vmask(found[b][1])
                 if bin(union).count("1") > merge_bound:
                     continue
-                got = search.max_piece(union, found[a][0] + found[b][0])
+                got = search.max_piece(union, found[a][0].k + found[b][0].k)
                 if got is not None:
                     found[a] = got
                     del found[b]
@@ -370,9 +390,9 @@ def reference_greedy_plan(D, merge_bound=DEFAULT_EXACT_BOUND):
             if merged:
                 break
     groups = [g for g in _greedy_clique_partition(D) if len(g) >= 2]
-    if sum(len(g) - 1 for g in groups) > sum(k - 1 for k, _, _ in found):
+    if sum(len(g) - 1 for g in groups) > sum(T.k - 1 for T, _ in found):
         return make_plan(D, [clique_to_template(D, g) for g in groups])
-    return make_plan(D, [(T, lab) for _, T, lab in found])
+    return make_plan(D, found)
 
 
 @st.composite
