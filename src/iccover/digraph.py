@@ -21,7 +21,8 @@ the next; it runs the same BFS, capped at the first length in its queue.
 ``_greedy_cycles`` (its packing of all of D) and ``_greedy_cliques`` keep
 their result for the last Digraph value asked, so that a greedy
 ``compare`` computes each once for all of its planners; so does
-``_cyclic_parts``, the strong components that exact planners solve.
+``_cyclic_parts``, the strong components that exact cycle and ICC planners
+solve (the exact clique DP runs ``_strong_parts`` on the mutual-arc graph).
 """
 
 from __future__ import annotations
@@ -350,8 +351,7 @@ def strongly_connected_mask(out_m: tuple[int, ...], in_m: tuple[int, ...], mask:
     return _reach_mask(out_m, mask, start) == mask and _reach_mask(in_m, mask, start) == mask
 
 
-@lru_cache(maxsize=1)
-def _cyclic_parts(D: Digraph) -> tuple[tuple[Digraph, tuple[int, ...]], ...]:
+def _strong_parts(D: Digraph) -> tuple[tuple[Digraph, tuple[int, ...]], ...]:
     """D's strongly connected components C of two or more vertices, by lowest vertex, each as
     (D[C] relabelled 1..|C| in ascending vertex order, C's vertices), D itself when C is all
     of D.  Every cycle lies inside one of them, and the other vertices lie on none."""
@@ -367,6 +367,9 @@ def _cyclic_parts(D: Digraph) -> tuple[tuple[Digraph, tuple[int, ...]], ...]:
     return tuple(parts)
 
 
+_cyclic_parts = lru_cache(maxsize=1)(_strong_parts)  # the parts that exact cycle and ICC planners solve
+
+
 def _mutual_masks(D: Digraph) -> list[int]:
     return [o & i for o, i in zip(D.out_masks, D.in_masks)]
 
@@ -377,31 +380,32 @@ def _greedy_clique_partition(D: Digraph) -> list[list[int]]:
     same order.
 
     Degrees are kept incrementally: removing a group lowers only its
-    members' remaining mutual neighbors.  Once the highest degree is 0,
-    every remaining vertex is a group of its own, in ascending order.
+    members' remaining mutual neighbors, and a vertex of degree 0 leaves
+    live, where seeds are sought.  Once live is empty, every remaining
+    vertex is a group of its own, in ascending order.
     """
     mut = _mutual_masks(D)
     deg = [m.bit_count() for m in mut]
     remaining = full_mask(D.n)
+    live = sum(1 << (v - 1) for v in range(1, D.n + 1) if deg[v])
     groups: list[list[int]] = []
-    while remaining:
-        verts = list(iter_mask_vertices(remaining))
+    while live:
         # max returns the first maximal vertex, that is the lowest id
-        seed = max(verts, key=deg.__getitem__)
-        if deg[seed] == 0:
-            groups.extend([v] for v in verts)
-            break
+        seed = max(iter_mask_vertices(live), key=deg.__getitem__)
         cmask = 1 << (seed - 1)
         for u in sorted(iter_mask_vertices(mut[seed] & remaining), key=lambda v: (-deg[v], v)):
             if (mut[u] & cmask) == cmask:
                 cmask |= 1 << (u - 1)
         remaining &= ~cmask
+        live &= ~cmask
         group = list(iter_mask_vertices(cmask))
         for u in group:
             for w in iter_mask_vertices(mut[u] & remaining):
                 deg[w] -= 1
+                if not deg[w]:
+                    live &= ~(1 << (w - 1))
         groups.append(group)
-    return groups
+    return groups + [[v] for v in iter_mask_vertices(remaining)]
 
 
 @lru_cache(maxsize=1)

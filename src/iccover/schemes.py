@@ -3,8 +3,10 @@
 Three interchangeable planners produce CoverPlans: cycle packing (every
 cycle viewed as a two-path piece), clique partition (every clique a
 piece of single-vertex paths), and the general template search.  No
-cycle or clique crosses two strongly connected components, so an exact
-planner runs its DP on each component C alone, over 2^|C| masks.
+cycle or template piece crosses two strongly connected components, nor a
+clique two components M of the mutual-arc graph, so an exact planner runs
+its DP on each component alone, over 2^|C| or 2^|M| masks; greedy cliques
+are seeded only at vertices with a mutual neighbour left.
 assemble_code turns any plan into one broadcast code: per-piece symbols
 first, then an uncoded symbol per leftover vertex, for n - savings
 symbols total.
@@ -24,6 +26,7 @@ from .digraph import (
     _greedy_cliques,
     _greedy_cycles,
     _mutual_masks,
+    _strong_parts,
     full_mask,
     iter_mask_vertices,
     new_digraph,
@@ -117,7 +120,10 @@ def cycle_cover(D: Digraph, mode: str = "exact", exact_bound: int = DEFAULT_EXAC
 
 
 def _exact_clique_partition(D: Digraph) -> list[list[int]]:
-    """Fewest cliques covering D, by one DP per cyclic part over its masks in ascending order.
+    """Fewest cliques covering D, by one DP per component M of the mutual-arc
+    graph over its 2^|M| masks in ascending order, other vertices alone.
+    Fewest parts add up over components, so a DP on all of D would choose
+    at each mask what this one chooses at the mask's share of low's component.
 
     parts[mask] takes the clique p through mask's lowest vertex that
     strictly beats every earlier choice, scanning candidates in
@@ -133,9 +139,11 @@ def _exact_clique_partition(D: Digraph) -> list[list[int]]:
     skips the lowest vertex first and takes the smallest piece first.
     """
     groups, lone = [], set(range(1, D.n + 1))
-    for P, vs in _cyclic_parts(D):  # the DP on each part, groups mapped back to D's ids
+    # the mutual-arc graph's strong components are its components M
+    mutual = new_digraph(D.n, ((u, v) for u, m in enumerate(_mutual_masks(D)) for v in iter_mask_vertices(m)))
+    for P, vs in _strong_parts(mutual):  # the DP on each M, groups mapped back to D's ids
         lone -= set(vs)
-        mut = _mutual_masks(P)
+        mut = P.out_masks  # P is its own mutual-arc graph
         full = full_mask(P.n)
         is_clique = bytearray(full + 1)
         is_clique[0] = 1

@@ -493,6 +493,83 @@ def test_exact_planners_on_acyclic_digraphs():
         assert compare(D).mais == mais(D) == mais_exhaustive(D) == n
 
 
+# ---------- clique planners per mutual-arc component ----------
+# The exact clique DP runs on each component of the mutual-arc graph
+# alone, and greedy seeds only among vertices with a mutual neighbour
+# left; both must give the groups the whole-digraph versions give, in
+# their order, also where one-way arcs join the components into one
+# strongly connected component.
+
+
+@st.composite
+def mutual_block_digraphs(draw):
+    """Blocks of consecutive vertices, each held together by a mutual chain
+    plus random mutual arcs, which one-way arcs from each block to the
+    next (the last back to the first) and random one-way arcs forward join
+    into one strongly connected component; labels shuffled."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5).filter(lambda s: sum(s) <= 10))
+    p_mut, p_cross = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    rng = draw(st.randoms(use_true_random=False))
+    starts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+    blocks = [range(a + 1, b + 1) for a, b in zip(starts, starts[1:])]
+    n = starts[-1]
+    arcs = {(u, u + 1) for b in blocks for u in b[:-1]}
+    arcs |= {(u, v) for b in blocks for u in b for v in b if u + 1 < v and rng.random() < p_mut}
+    arcs |= {(v, u) for u, v in arcs}
+    arcs |= {(b[-1], b[-1] % n + 1) for b in blocks}  # the ring of blocks, one way
+    arcs |= {(u, v) for i, b in enumerate(blocks) for c in blocks[i + 1 :] for u in b for v in c if (v, u) not in arcs and rng.random() < p_cross}
+    label = list(range(1, n + 1))
+    rng.shuffle(label)
+    return new_digraph(n, [(label[u - 1], label[v - 1]) for u, v in arcs])
+
+
+@st.composite
+def mostly_lone_digraphs(draw):
+    """Random one-way arcs and at most n // 4 mutual pairs, so that at least
+    half of the vertices have mutual degree 0."""
+    n = draw(st.integers(0, 10))
+    p = draw(st.floats(0.0, 1.0))
+    rng = draw(st.randoms(use_true_random=False))
+    arcs = {rng.choice([(u, v), (v, u)]) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p}
+    for _ in range(n // 4):
+        u, v = rng.sample(range(1, n + 1), 2)
+        arcs |= {(u, v), (v, u)}
+    return new_digraph(n, arcs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutual_block_digraphs())
+def test_clique_partitions_match_reference_on_joined_mutual_blocks(D):
+    assert len(_cyclic_parts(D)) == 1 and len(_cyclic_parts(D)[0][1]) == D.n
+    assert _exact_clique_partition(D) == _reference_exact_clique_partition(D)
+    assert _greedy_clique_partition(D) == _reference_greedy_clique_partition(D)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mostly_lone_digraphs())
+def test_clique_partitions_match_reference_where_few_vertices_have_a_mutual_neighbour(D):
+    assert 2 * sum(1 for m in _mutual_masks(D)[1:] if m) <= D.n
+    assert _exact_clique_partition(D) == _reference_exact_clique_partition(D)
+    assert _greedy_clique_partition(D) == _reference_greedy_clique_partition(D)
+
+
+def test_exact_clique_cover_of_a_ring_of_mutual_pairs_stays_small():
+    # ten mutual pairs 2i+1 <-> 2i+2 joined by one-way arcs 2i+2 -> 2i+3
+    # (20 -> 1) form one strongly connected component; a DP over all of
+    # it filled 2^20-entry tables, one per mutual pair needs 2^2 entries
+    n = 20
+    D = new_digraph(n, [a for i in range(10) for a in ((2 * i + 1, 2 * i + 2), (2 * i + 2, 2 * i + 1), (2 * i + 2, (2 * i + 2) % n + 1))])
+    assert len(_cyclic_parts(D)) == 1
+    tracemalloc.start()
+    try:
+        plan = clique_cover(D, "exact", exact_bound=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [list(lab.values()) for _, lab in plan.pieces] == [[2 * i + 1, 2 * i + 2] for i in range(10)]
+    assert peak < 1 << 20, f"peak {peak / (1 << 20):.2f} MiB"
+
+
 # ---------- every planner piece embeds ----------
 # Planners do not check their own plans at run time (make_plan and
 # assemble_code check only the plans a caller hands in), so these
