@@ -22,7 +22,8 @@ the next; it runs the same BFS, capped at the first length in its queue.
 their result for the last Digraph value asked, so that a greedy
 ``compare`` computes each once for all of its planners; so does
 ``_cyclic_parts``, the strong components that exact cycle and ICC planners
-solve (the exact clique DP runs ``_strong_parts`` on the mutual-arc graph).
+solve (the exact clique DP runs ``_strong_parts`` on the mutual-arc graph,
+a Digraph whose out- and in-masks are both ``_mutual_masks``, unvalidated).
 """
 
 from __future__ import annotations

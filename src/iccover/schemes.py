@@ -125,41 +125,39 @@ def _exact_clique_partition(D: Digraph) -> list[list[int]]:
     Fewest parts add up over components, so a DP on all of D would choose
     at each mask what this one chooses at the mask's share of low's component.
 
-    parts[mask] takes the clique p through mask's lowest vertex that
-    strictly beats every earlier choice, scanning candidates in
-    descending mask order.  A vertex outside mut[low] is not a mutual
-    neighbour of low, so no clique through low contains it: scanning the
-    submasks of mask & mut[low] meets the same cliques, in the same
-    order, as scanning those of the whole mask, and picks the same p.
-    Those vertices stay in mask ^ p, and parts never falls as a mask
-    grows, so no p scores below 1 + parts[them]; the scan stops at one that does.
-    is_clique[mask] is set before that scan, which reads it only at mask
-    and below.  The DP stays outside pack_pieces for its ties: it takes
-    the largest clique first and the lone vertex last, where pack_pieces
-    skips the lowest vertex first and takes the smallest piece first.
+    A component keeps two tables: parts[mask], the fewest cliques covering
+    mask, and take[mask], the clique p through mask's lowest vertex that
+    strictly beats every earlier choice, scanning candidates in descending
+    mask order.  No clique through low holds a vertex outside mut[low], so
+    the submasks sub of mask & mut[low] meet the same cliques, in the same
+    order, as those of the whole mask.  sub | low is then a clique iff sub
+    is empty or one, that is iff parts[sub] <= 1, final since sub < mask.
+    parts never falls as a mask grows, so no p scores below parts[mask ^ low]
+    or 1 + parts[mask's vertices outside mut[low]], which stay in mask ^ p;
+    the scan stops at the first p that meets the larger floor.  The DP stays
+    outside pack_pieces for its ties: it takes the largest clique first and
+    the lone vertex last, where pack_pieces skips the lowest vertex first
+    and takes the smallest piece first.
     """
     groups, lone = [], set(range(1, D.n + 1))
-    # the mutual-arc graph's strong components are its components M
-    mutual = new_digraph(D.n, ((u, v) for u, m in enumerate(_mutual_masks(D)) for v in iter_mask_vertices(m)))
-    for P, vs in _strong_parts(mutual):  # the DP on each M, groups mapped back to D's ids
+    mut = tuple(_mutual_masks(D))  # the mutual-arc graph is symmetric: its in-masks are its out-masks
+    for P, vs in _strong_parts(Digraph(D.n, mut, mut)):  # its strong components are its components M
         lone -= set(vs)
         mut = P.out_masks  # P is its own mutual-arc graph
         full = full_mask(P.n)
-        is_clique = bytearray(full + 1)
-        is_clique[0] = 1
         # fewest parts = most saved symbols
         parts = [0] * (full + 1)
         take = [0] * (full + 1)
         for mask in range(1, full + 1):
             low = mask & -mask
             cand = mask & mut[low.bit_length()]
-            if cand == mask ^ low and is_clique[cand]:
-                is_clique[mask] = 1
             b, t, floor = None, 0, 1 + parts[mask & ~(cand | low)]
+            if parts[mask ^ low] > floor:  # inline: max() here slows K_20 by half
+                floor = parts[mask ^ low]
             sub = cand
             while True:
-                p = sub | low
-                if is_clique[p]:
+                if parts[sub] <= 1:  # sub | low is a clique
+                    p = sub | low
                     c = 1 + parts[mask ^ p]
                     if b is None or c < b:
                         b, t = c, p
