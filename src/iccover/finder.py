@@ -11,7 +11,9 @@ its largest acyclic induced subgraph, so a piece on S saves at most
 which settles the best partition b of S into smaller pieces first; S is
 searched for an embedding only when its cap exceeds b, and then only for
 k in b + 2 .. cap + 1, and only on terminal sets in which every terminal
-reaches every other.  The DP keeps a worth per piece and embeds only the
+reaches every other; a main-path shape is dropped as soon as more
+(terminal, finished path) pairs lack an arc than vertices are left for
+connector paths.  The DP keeps a worth per piece and embeds only the
 chosen masks, once, after it.  Greedy mode packs shortest cycles first
 (each a k = 2 piece) and then tries to merge pieces pairwise into
 higher-k templates, skipping pairs with arcs one way only between them:
@@ -177,10 +179,11 @@ class _EmbeddingSearch:
     (the subset must be strongly connected), the linked-terminal test (each
     terminal reaches every other through non-terminals), the bare-pair
     count (each ordered pair whose terminal has no arc onto the other path
-    needs a leftover vertex of its own), and the pivot reach test (a pair
-    takes the pivot only if, within the leftover vertices, the pivot is
-    reached from the terminal's out-neighbors and reaches an arc onto the
-    target path).  _finalize then checks every pair's attachment.
+    needs a leftover vertex of its own; checked as each main path stops,
+    before the later paths grow), and the pivot reach test (a pair takes
+    the pivot only if, within the leftover vertices, the pivot is reached
+    from the terminal's out-neighbors and reaches an arc onto the target
+    path).  _finalize then checks every pair's attachment.
 
     The attempt in progress (terminals, main paths, ordered pairs) lives on
     the object, so the recursive steps are methods, not nested closures,
@@ -310,27 +313,23 @@ class _EmbeddingSearch:
                 del conn[(i, j)]
         return None
 
-    def _connectors(self, pool: int):
-        out_m, terms = self.out_m, self.terms
-        path_sets = [sum([1 << (v - 1) for v in p]) for p in self.paths]
-        # a pair whose terminal has no arc onto the other path needs a
-        # nonempty connector path of its own, drawn from the pool
-        bare = sum(1 for (i, j) in self.allpairs if not out_m[terms[i - 1]] & path_sets[j - 1])
+    def _grow(self, i: int, pool: int, bare: int = 0, sets: tuple[int, ...] = ()):
+        # grow main path i backward from its first vertex, "stop" first; each
+        # bare pair (a, j), terminal a with no arc onto finished path j (its
+        # mask in sets), needs a vertex of its own from the shrinking pool
         if bare > pool.bit_count():
             return None
-        return self._place({}, pool, path_sets)
-
-    def _grow(self, i: int, pool: int):
-        # grow main path i backward from its first vertex, "stop" first
         paths = self.paths
         if i == len(paths):
-            return self._connectors(pool)
-        got = self._grow(i + 1, pool)
+            return self._place({}, pool, sets)
+        out_m, done = self.out_m, sum([1 << (v - 1) for v in paths[i]])
+        missed = sum([not out_m[t] & done for a, t in enumerate(self.terms) if a != i])
+        got = self._grow(i + 1, pool, bare + missed, (*sets, done))
         if got is not None:
             return got
         for u in iter_mask_vertices(self.in_m[paths[i][0]] & pool):
             paths[i].insert(0, u)
-            got = self._grow(i, pool & ~(1 << (u - 1)))
+            got = self._grow(i, pool & ~(1 << (u - 1)), bare, sets)
             if got is not None:
                 return got
             paths[i].pop(0)

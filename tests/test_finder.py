@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ungated_pack_pieces
-from iccover.digraph import Cycle, _cyclic_parts, _greedy_clique_partition, full_mask, is_acyclic_mask, new_digraph, shortest_cycle_mask
+from iccover.digraph import Cycle, _cyclic_parts, _greedy_clique_partition, full_mask, is_acyclic_mask, iter_mask_vertices, new_digraph, shortest_cycle_mask
 from iccover.errors import EmbeddingError, SizeRefusal
 from iccover.finder import (
     DEFAULT_EXACT_BOUND,
@@ -223,13 +223,25 @@ def test_max_piece_matches_unpruned_search(D):
 
 
 class UncutSearch(_EmbeddingSearch):
-    """_EmbeddingSearch whose connector placement carries no cut: every
-    main-path shape builds its path sets, and every pivot tries the pivot
-    paths of every open pair, until _finalize accepts one."""
+    """_EmbeddingSearch whose main-path growth and connector placement
+    carry no cut: every main-path shape builds its path sets, and every
+    pivot tries the pivot paths of every open pair, until _finalize
+    accepts one."""
 
-    def _connectors(self, pool):
-        path_sets = [sum(1 << (v - 1) for v in p) for p in self.paths]
-        return self._place({}, pool, path_sets)
+    def _grow(self, i, pool):
+        paths = self.paths
+        if i == len(paths):
+            return self._place({}, pool, [sum(1 << (v - 1) for v in p) for p in paths])
+        got = self._grow(i + 1, pool)
+        if got is not None:
+            return got
+        for u in iter_mask_vertices(self.in_m[paths[i][0]] & pool):
+            paths[i].insert(0, u)
+            got = self._grow(i, pool & ~(1 << (u - 1)))
+            if got is not None:
+                return got
+            paths[i].pop(0)
+        return None
 
     def _place(self, conn, pool, path_sets):
         if pool == 0:
@@ -251,8 +263,8 @@ class UncutSearch(_EmbeddingSearch):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(digraphs(max_n=6))
 def test_embed_matches_uncut_connector_search(D):
-    # the production _connectors and _place cut branches; the result of
-    # every terminal set must not change
+    # the production _grow and _place cut branches; the result of every
+    # terminal set must not change
     search = _EmbeddingSearch(D.out_masks, D.in_masks)
     uncut = UncutSearch(D.out_masks, D.in_masks)
     for mask in range(1, full_mask(D.n) + 1):
@@ -453,6 +465,25 @@ def test_greedy_never_retries_a_failed_merge(monkeypatch):
     assert len(set(calls)) == len(calls)
     monkeypatch.undo()
     assert repr(plan) == repr(reference_greedy_plan(D))
+
+
+def test_exact_search_cuts_main_paths_as_they_stop(monkeypatch):
+    # the bare-pair count is checked as each main path stops: checked only
+    # once every path is built, this draw takes 8,912 _grow calls
+    D = random_digraph(random.Random(1), 14, 0.5)
+    calls = []
+    real = _EmbeddingSearch._grow
+
+    def counted(self, *args):
+        calls.append(None)
+        return real(self, *args)
+
+    _cyclic_parts.cache_clear()
+    _exact_cover.cache_clear()
+    monkeypatch.setattr(_EmbeddingSearch, "_grow", counted)
+    plan = icc_cover(D, "exact", exact_bound=14)
+    assert [T.k for T, _ in plan.pieces] == [3, 3, 2, 3]
+    assert len(calls) <= 4000
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
